@@ -1,103 +1,45 @@
 """Exact Bernoulli, tangent, and secant numbers by five independent
 algorithms, cross-verified against each other and against number-theoretic
-identities, with an operation-count benchmark harness and a CLI."""
+identities, with an operation-count benchmark harness and a CLI.
 
-from .bench import ALGORITHMS, BenchRecord, bench_suite, crossover_summary
-from .checks import (
-    CheckResult,
-    VerificationReport,
-    cross_check,
-    fermat_denominator_check,
-    full_verification,
-    pi_bounds,
-    size_checks,
-    stability_contrast,
-    tangent_tail_audit,
-    von_staudt_clausen,
-    zeta_ratio_check,
-)
-from .fastfixed import (
-    FixedPointParams,
-    compute_scaled_sin_cos,
-    fast_secant_numbers,
-    fast_tangent_numbers,
-    least_half_block_bits,
-    packed_secant_value,
-    packed_tangent_params,
-    quotient_fraction_audit,
-    secant_cos_scaled,
-)
-from .intops import (
-    IntegrityError,
-    exact_div,
-    extract_blocks,
-    factorial_ratio,
-    pack_blocks,
-    round_nearest_div,
-)
+The package root exports the engines, the engine table and the checks that
+users call; every other name is importable from its submodule.
+"""
+
+from .bench import BenchRecord, bench_suite, crossover_summary
+from .checks import CheckResult, VerificationReport, cross_check, full_verification
+from .engines import ENGINES
+from .fastfixed import fast_secant_numbers, fast_tangent_numbers
+from .intops import IntegrityError
 from .recurrences import (
-    BernoulliSeq,
     OpCounters,
-    SecantSeq,
-    TangentSeq,
     akiyama_tanigawa_bernoulli,
     atkinson_tangent_secant,
-    bernoulli_float_unstable,
     bernoulli_from_tangent,
-    scaled_bernoulli_stable,
     secant_numbers,
     tangent_numbers,
 )
-from .series import SeriesTrunc, bernoulli_via_series, check_reciprocal, series_reciprocal
-from .softfloat import SoftFloat
+from .series import bernoulli_via_series
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALGORITHMS",
+    "ENGINES",
     "BenchRecord",
-    "BernoulliSeq",
     "CheckResult",
-    "FixedPointParams",
     "IntegrityError",
     "OpCounters",
-    "SecantSeq",
-    "SeriesTrunc",
-    "SoftFloat",
-    "TangentSeq",
     "VerificationReport",
     "akiyama_tanigawa_bernoulli",
     "atkinson_tangent_secant",
     "bench_suite",
-    "bernoulli_float_unstable",
     "bernoulli_from_tangent",
     "bernoulli_via_series",
-    "check_reciprocal",
-    "compute_scaled_sin_cos",
     "cross_check",
     "crossover_summary",
-    "exact_div",
-    "extract_blocks",
-    "factorial_ratio",
     "fast_secant_numbers",
     "fast_tangent_numbers",
-    "fermat_denominator_check",
     "full_verification",
-    "least_half_block_bits",
-    "pack_blocks",
-    "packed_secant_value",
-    "packed_tangent_params",
-    "pi_bounds",
-    "quotient_fraction_audit",
-    "round_nearest_div",
-    "scaled_bernoulli_stable",
-    "secant_cos_scaled",
     "secant_numbers",
-    "series_reciprocal",
-    "size_checks",
-    "stability_contrast",
     "tangent_numbers",
-    "tangent_tail_audit",
-    "von_staudt_clausen",
-    "zeta_ratio_check",
 ]

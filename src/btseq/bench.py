@@ -7,14 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fastfixed import fast_tangent_numbers
-from .recurrences import (
-    OpCounters,
-    akiyama_tanigawa_bernoulli,
-    atkinson_tangent_secant,
-    tangent_numbers,
-)
-from .series import bernoulli_via_series
+from .engines import ENGINES, REACH
+from .recurrences import OpCounters
 
 
 @dataclass(frozen=True)
@@ -45,36 +39,12 @@ def _peak_bits(values) -> int:
     return peak
 
 
-def _run_recurrence(n: int):
-    return tangent_numbers(n)
-
-
-def _run_fast(n: int):
-    return fast_tangent_numbers(n), None
-
-
-def _run_atkinson(n: int):
-    tangent, secant, ops = atkinson_tangent_secant(n)
-    return tangent + secant, ops
-
-
-def _run_akiyama(n: int):
-    return akiyama_tanigawa_bernoulli(2 * n), None
-
-
-def _run_series(n: int):
-    return bernoulli_via_series(2 * n), None
-
-
-# akiyama and series run out to index 2n so that every record at a given n
-# carries the information content of T_1..T_n and stays comparable
-ALGORITHMS = {
-    "recurrence": _run_recurrence,
-    "fast": _run_fast,
-    "atkinson": _run_atkinson,
-    "akiyama": _run_akiyama,
-    "series": _run_series,
-}
+# Each engine is timed on the first sequence it produces in the table, out
+# to the reach of n tangent numbers (B_0..B_2n for a Bernoulli engine), so
+# every record at a given n carries the information content of T_1..T_n
+ALGORITHMS: dict[str, str] = {}  # engine name -> the sequence it is timed on
+for _sequence, _name in ENGINES:
+    ALGORITHMS.setdefault(_name, _sequence)
 
 
 def bench_suite(
@@ -92,13 +62,13 @@ def bench_suite(
         if n < 2:
             raise ValueError("benchmark sizes must be >= 2")
         for name in names:
-            run = ALGORITHMS[name]
+            sequence = ALGORITHMS[name]
             best = None
             values: list = []
             counters = None
             for _ in range(max(1, repeats)):
                 start = time.perf_counter()
-                values, counters = run(n)
+                values, counters = ENGINES[sequence, name].produce(REACH[sequence] * n)
                 elapsed = time.perf_counter() - start
                 best = elapsed if best is None else min(best, elapsed)
             records.append(BenchRecord(name, n, best, counters, _peak_bits(values)))

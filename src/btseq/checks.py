@@ -15,25 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fastfixed import (
-    fast_secant_numbers,
-    fast_tangent_numbers,
-    least_half_block_bits,
-    quotient_fraction_audit,
-)
+from .engines import ENGINES, REACH
+from .fastfixed import least_half_block_bits, quotient_fraction_audit
 from .intops import IntegrityError
 from .recurrences import (
     BernoulliSeq,
     TangentSeq,
-    akiyama_tanigawa_bernoulli,
-    atkinson_tangent_secant,
     bernoulli_float_unstable,
     bernoulli_from_tangent,
     scaled_bernoulli_stable,
-    secant_numbers,
     tangent_numbers,
 )
-from .series import bernoulli_via_series
 
 
 @dataclass(frozen=True)
@@ -106,34 +98,28 @@ def _sequences_equal(name: str, left, right) -> CheckResult:
 
 
 def cross_check(n: int) -> VerificationReport:
-    """Compare every engine pairwise on tangent, secant, and Bernoulli output."""
+    """Compare each sequence's reference engine with every other engine that
+    has a cross-check label, at the reach of n tangent numbers."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t_inplace, _ = tangent_numbers(n)
-    s_inplace, _ = secant_numbers(n)
-    t_triangle, s_triangle, _ = atkinson_tangent_secant(n)
-    b_tangent_route = bernoulli_from_tangent(t_inplace)
-    checks = (
-        _sequences_equal(
-            "tangent: in-place vs packed-division", t_inplace, fast_tangent_numbers(n)
-        ),
-        _sequences_equal("tangent: in-place vs triangle", t_inplace, t_triangle),
-        _sequences_equal(
-            "secant: in-place vs packed-division", s_inplace, fast_secant_numbers(n)
-        ),
-        _sequences_equal("secant: in-place vs triangle", s_inplace, s_triangle),
-        _sequences_equal(
-            "bernoulli: tangent route vs akiyama-tanigawa",
-            b_tangent_route,
-            akiyama_tanigawa_bernoulli(2 * n),
-        ),
-        _sequences_equal(
-            "bernoulli: tangent route vs series reciprocal",
-            b_tangent_route,
-            bernoulli_via_series(2 * n),
-        ),
-    )
-    return VerificationReport(n, checks)
+    checks = []
+    for sequence, reach in REACH.items():
+        size = reach * n
+        reference, *others = [
+            engine
+            for (kind, _), engine in ENGINES.items()
+            if kind == sequence and engine.label
+        ]
+        expected = reference.produce(size)[0]
+        for engine in others:
+            checks.append(
+                _sequences_equal(
+                    f"{sequence}: {reference.label} vs {engine.label}",
+                    expected,
+                    engine.produce(size)[0],
+                )
+            )
+    return VerificationReport(n, tuple(checks))
 
 
 def von_staudt_clausen(m: int, b: Fraction) -> int:
@@ -155,16 +141,31 @@ def von_staudt_clausen(m: int, b: Fraction) -> int:
     return total.numerator
 
 
-def zeta_ratio_check(n: int, b: Fraction) -> tuple[Fraction, Fraction]:
+def _zeta_pi_bits(n: int) -> int:
+    """Pi precision that decides the zeta enclosure at every index up to 2n.
+
+    The enclosure is about 2n times wider, relative to its value, than the
+    pi bounds, and both gaps it must clear are at least 2**(-1-2n) for
+    n >= 2: 2n + lg(2n) bits suffice, and 16 guard bits cover the constants.
+    It never drops below the default 256 bits, which keep the enclosure
+    tight to double precision at every n.
+    """
+    return max(256, 2 * n + (2 * n).bit_length() + 16)
+
+
+def zeta_ratio_check(
+    n: int, b: Fraction, pi: tuple[Fraction, Fraction] | None = None
+) -> tuple[Fraction, Fraction]:
     """Enclose rho = |B_2n| (2 pi)**(2n) / (2 (2n)!) between exact rationals.
 
     rho equals the zeta value at 2n, so for n >= 2 it must lie strictly
-    inside (1, 1 + 2**(1-2n)). The pi bounds carry 256 bits, double the
-    128-bit working precision the tightest checked gap calls for.
+    inside (1, 1 + 2**(1-2n)). pi is a pair of rational bounds on pi; the
+    default, pi_bounds at max(256, 2n + lg(2n) + 16) bits, is tight enough
+    to decide that at this n, and the default for a larger n serves as well.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pi_lo, pi_hi = pi_bounds()
+    pi_lo, pi_hi = pi_bounds(_zeta_pi_bits(n)) if pi is None else pi
     scale = abs(Fraction(b)) / (2 * math.factorial(2 * n))
     return scale * (2 * pi_lo) ** (2 * n), scale * (2 * pi_hi) ** (2 * n)
 
@@ -332,8 +333,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     checks.append(CheckResult("denominator primes divide 2**m - 1", ok, witness))
 
     ok, witness = True, None
+    pi = pi_bounds(_zeta_pi_bits(n))
     for k in range(2, n + 1):
-        lo, hi = zeta_ratio_check(k, bernoulli[2 * k])
+        lo, hi = zeta_ratio_check(k, bernoulli[2 * k], pi)
         if not (1 < lo and hi < 1 + Fraction(2) ** (1 - 2 * k)):
             ok, witness = False, f"index {2 * k}: enclosure ({float(lo)}, {float(hi)})"
             break
@@ -342,8 +344,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     checks.extend(size_checks(tangent, bernoulli).checks)
 
     if n >= 2:
-        ok, witness = True, None
-        for k in range(2, min(n, 30) + 1):
+        top = min(n, 30)
+        ok, witness = True, f"audited n = 2..{top} of 2..{n}"
+        for k in range(2, top + 1):
             lo, hi = tangent_tail_audit(k)
             if not (0 < lo and hi < Fraction(1, 10)):
                 ok, witness = False, f"n={k}"

@@ -1,34 +1,28 @@
 """Command line front end: compute sequences, verify identities, benchmark.
 
 Exit codes: 0 success (and all checks passed), 1 usage error, 2 verification
-failure, 3 internal integrity error.
+failure, 3 internal error (an exactness guarantee failed, or a fault).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from fractions import Fraction
-from pathlib import Path
+import traceback
+from typing import Iterable, Iterator
 
 from .bench import ALGORITHMS, bench_suite, crossover_summary
 from .checks import full_verification
-from .fastfixed import fast_secant_numbers, fast_tangent_numbers
+from .engines import ENGINES, engine_names
 from .intops import IntegrityError
-from .recurrences import (
-    akiyama_tanigawa_bernoulli,
-    atkinson_tangent_secant,
-    bernoulli_from_tangent,
-    secant_numbers,
-    tangent_numbers,
-)
-from .series import bernoulli_via_series
 
-_SEQUENCE_ALGORITHMS = {
-    "tangent": ("recurrence", "fast", "atkinson"),
-    "secant": ("recurrence", "fast", "atkinson"),
-    "bernoulli": ("recurrence", "fast", "atkinson", "akiyama", "series"),
+# sequence -> (help text, index of its first value)
+_SEQUENCES = {
+    "tangent": ("print the tangent numbers T_1..T_n", 1),
+    "secant": ("print the secant numbers S_0..S_n", 0),
+    "bernoulli": ("print the Bernoulli numbers B_0..B_n", 0),
 }
 
 
@@ -55,18 +49,14 @@ def build_parser() -> _Parser:
             "--output", metavar="PATH", help="write to this file instead of stdout"
         )
 
-    helps = {
-        "tangent": "print the tangent numbers T_1..T_n",
-        "secant": "print the secant numbers S_0..S_n",
-        "bernoulli": "print the Bernoulli numbers B_0..B_n",
-    }
-    for name, text in helps.items():
+    for name, (text, _) in _SEQUENCES.items():
+        engines = engine_names(name)
         p = sub.add_parser(name, help=text)
         p.add_argument("-n", type=int, required=True, help="largest index")
         p.add_argument(
             "--algorithm",
-            choices=_SEQUENCE_ALGORITHMS[name] + ("all",),
-            default="recurrence",
+            choices=[*engines, "all"],
+            default=engines[0],
             help="engine to use; 'all' runs every engine and insists they agree",
         )
         add_common(p)
@@ -91,73 +81,53 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _tangent_values(n: int, algorithm: str) -> list[int]:
-    if algorithm == "fast":
-        return fast_tangent_numbers(n)
-    if algorithm == "atkinson":
-        return atkinson_tangent_secant(n)[0]
-    return tangent_numbers(n)[0]
+@contextlib.contextmanager
+def _any_int_size():
+    """Lift the int-to-str digit limit: exact values print in full."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
-def _secant_values(n: int, algorithm: str) -> list[int]:
-    if algorithm == "fast":
-        return fast_secant_numbers(n)
-    if algorithm == "atkinson":
-        return atkinson_tangent_secant(max(n, 1))[1][: n + 1]
-    return secant_numbers(n)[0]
+def _sequence_lines(kind: str, n: int, values, fmt: str) -> Iterator[str]:
+    """The output one line at a time, so no copy of the whole text is held.
+
+    The json form is the bytes json.dumps(payload, indent=2) prints; the
+    values are decimal strings, which need no escaping.
+    """
+    first_index = _SEQUENCES[kind][1]
+    if fmt == "plain":
+        for i, v in enumerate(values, start=first_index):
+            yield f"{i} {v}\n"
+        return
+    head = json.dumps({"kind": kind, "n": n, "first_index": first_index}, indent=2)
+    yield head[:-2] + ',\n  "values": [\n'  # reopen the object before its "}"
+    last = len(values) - 1
+    for position, v in enumerate(values):
+        yield f'    "{v}"' + (",\n" if position < last else "\n")
+    yield "  ]\n}\n"
 
 
-def _bernoulli_values(n: int, algorithm: str) -> list[Fraction]:
-    if algorithm == "akiyama":
-        return akiyama_tanigawa_bernoulli(n)
-    if algorithm == "series":
-        return bernoulli_via_series(n)
-    tangent = _tangent_values(max(1, n // 2), algorithm)
-    values = bernoulli_from_tangent(tangent)[: n + 1]
-    while len(values) < n + 1:  # odd n: top entry is an odd-index zero
-        values.append(Fraction(0))
-    return values
-
-
-_SEQUENCE_PRODUCERS = {
-    "tangent": (_tangent_values, 1),
-    "secant": (_secant_values, 0),
-    "bernoulli": (_bernoulli_values, 0),
-}
-
-
-def _json_sequence(kind: str, n: int, first_index: int, values) -> str:
-    payload = {
-        "kind": kind,
-        "n": n,
-        "first_index": first_index,
-        "values": [str(v) for v in values],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit_sequence(args) -> tuple[int, str]:
-    produce, first_index = _SEQUENCE_PRODUCERS[args.command]
+def _emit_sequence(args) -> tuple[int, Iterable[str]]:
     if args.algorithm == "all":
-        names = _SEQUENCE_ALGORITHMS[args.command]
-        results = {name: produce(args.n, name) for name in names}
-        baseline_name = names[0]
-        baseline = results[baseline_name]
-        for name, values in results.items():
-            if values != baseline:
-                return 2, f"engines disagree: {name} departs from {baseline_name}\n"
+        baseline_name, *others = engine_names(args.command)
+        baseline = ENGINES[args.command, baseline_name].produce(args.n)[0]
+        for name in others:
+            if ENGINES[args.command, name].produce(args.n)[0] != baseline:
+                return 2, [f"engines disagree: {name} departs from {baseline_name}\n"]
         values = baseline
     else:
-        values = produce(args.n, args.algorithm)
-    if args.format == "json":
-        return 0, _json_sequence(args.command, args.n, first_index, values)
-    lines = "".join(
-        f"{i} {v}\n" for i, v in enumerate(values, start=first_index)
-    )
-    return 0, lines
+        values = ENGINES[args.command, args.algorithm].produce(args.n)[0]
+    return 0, _sequence_lines(args.command, args.n, values, args.format)
 
 
-def _emit_verify(args) -> tuple[int, str]:
+def _emit_verify(args) -> tuple[int, list[str]]:
     report = full_verification(args.n, args.precision)
     code = 0 if report.all_pass else 2
     if args.format == "json":
@@ -170,7 +140,7 @@ def _emit_verify(args) -> tuple[int, str]:
                 for c in report.checks
             ],
         }
-        return code, json.dumps(payload, indent=2) + "\n"
+        return code, [json.dumps(payload, indent=2) + "\n"]
     lines = []
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -178,10 +148,10 @@ def _emit_verify(args) -> tuple[int, str]:
         lines.append(f"{status} {check.name}{suffix}")
     passed = sum(1 for c in report.checks if c.passed)
     lines.append(f"{passed}/{len(report.checks)} checks passed")
-    return code, "\n".join(lines) + "\n"
+    return code, ["\n".join(lines) + "\n"]
 
 
-def _emit_bench(args) -> tuple[int, str]:
+def _emit_bench(args) -> tuple[int, list[str]]:
     algorithms = None if args.algorithm == "all" else [args.algorithm]
     records = bench_suite(args.n, algorithms)
     if args.format == "json":
@@ -204,7 +174,7 @@ def _emit_bench(args) -> tuple[int, str]:
         }
         if args.algorithm == "all":
             payload["summary"] = crossover_summary(records)
-        return 0, json.dumps(payload, indent=2) + "\n"
+        return 0, [json.dumps(payload, indent=2) + "\n"]
     header = (
         f"{'algorithm':<12} {'n':>6} {'seconds':>12} {'additions':>12} "
         f"{'mults':>12} {'loop_trips':>12} {'peak_bits':>10}"
@@ -221,19 +191,19 @@ def _emit_bench(args) -> tuple[int, str]:
         )
     if args.algorithm == "all":
         lines.append(crossover_summary(records))
-    return 0, "\n".join(lines) + "\n"
+    return 0, ["\n".join(lines) + "\n"]
 
 
-def _dispatch(args) -> tuple[int, str]:
-    if args.command in _SEQUENCE_PRODUCERS:
-        if args.n < 1:
-            raise _UsageError("-n must be >= 1")
-        return _emit_sequence(args)
+def _dispatch(args) -> tuple[int, Iterable[str]]:
+    if args.command == "bench":
+        if min(args.n) < 2:
+            raise _UsageError("benchmark sizes must be >= 2")
+        return _emit_bench(args)
+    if args.n < 1:
+        raise _UsageError("-n must be >= 1")
     if args.command == "verify":
-        if args.n < 1:
-            raise _UsageError("-n must be >= 1")
         return _emit_verify(args)
-    return _emit_bench(args)
+    return _emit_sequence(args)
 
 
 def run_cli(argv=None) -> int:
@@ -246,17 +216,22 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
     try:
-        code, text = _dispatch(args)
-    except (_UsageError, ValueError) as exc:
+        code, chunks = _dispatch(args)
+        with _any_int_size():  # the lines are formatted as they are written
+            if args.output:
+                with open(args.output, "w") as out:
+                    out.writelines(chunks)
+            else:
+                sys.stdout.writelines(chunks)
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    except Exception:  # any other fault is internal, never a usage error
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return 3
     return code
 
 

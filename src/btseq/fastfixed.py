@@ -13,7 +13,6 @@ because the secant quotient is sensitive to the x**(2n) term of cos.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ class FixedPointParams:
     are 2p bits wide. sin_scaled is
     (2n-1)! * sum_{k<n} (-1)**k * 2**((2n-2k-2)p) * (2n)!/(2k+1)! and
     cos_scaled is sum_{k<n} (-1)**k * 2**((2n-2k-2)p) * (2n)!/(2k)!, both
-    exact positive integers. packed, once formed, is the rounded quotient
+    exact positive integers. packed is the rounded quotient
     sin_scaled * 2**((2n-2)p) / cos_scaled.
     """
 
@@ -45,102 +44,84 @@ class FixedPointParams:
     half_block_bits: int
     sin_scaled: int
     cos_scaled: int
-    packed: int | None = None
-
-    @property
-    def eval_exponent(self) -> int:
-        """The evaluation point is 2**eval_exponent."""
-        return -self.half_block_bits
+    packed: int
 
 
-def _even_factorial_ratios(n: int) -> list[int]:
-    """[(2n)!/(2k)! for k = 0..n] by one descending multiplication sweep."""
-    ratios = [0] * (n + 1)
-    ratios[n] = 1
-    acc = 1
-    for k in range(n - 1, -1, -1):
-        acc *= (2 * k + 2) * (2 * k + 1)
-        ratios[k] = acc
-    return ratios
+def _scaled_cos(n: int, p: int, terms: int) -> int:
+    """sum_{k<terms} (-1)**k * 2**((2terms-2k-2)p) * (2n)!/(2k)!, for terms <= n+1.
+
+    That is cos(2**(-p)) truncated to `terms` terms and scaled by
+    (2n)! * 2**((2terms-2)p).
+    """
+    total = 0
+    ratio = math.factorial(2 * n)  # (2n)!/(2k)!
+    for k in range(terms):
+        total = (total << (2 * p)) + (-ratio if k % 2 else ratio)
+        ratio //= (2 * k + 1) * (2 * k + 2)
+    return total
 
 
-def compute_scaled_sin_cos(n: int, half_block_bits: int | None = None) -> FixedPointParams:
-    """Exact scaled sin and cos series values at 2**(-p) for the packing step."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
-    even_ratios = _even_factorial_ratios(n)
-    sin_sum = 0
-    cos_sum = 0
-    for k in range(n):
-        shift = (2 * n - 2 * k - 2) * p
-        # (2n)!/(2k+1)! = ((2n)!/(2k)!) / (2k+1), always an exact division
-        sin_term = (even_ratios[k] // (2 * k + 1)) << shift
-        cos_term = even_ratios[k] << shift
-        if k % 2:
-            sin_sum -= sin_term
-            cos_sum -= cos_term
-        else:
-            sin_sum += sin_term
-            cos_sum += cos_term
-    return FixedPointParams(n, p, math.factorial(2 * n - 1) * sin_sum, cos_sum)
+def _unscale(blocks: list[int], top: int) -> list[int]:
+    """Values from blocks holding top!/m! times them, for m = top, top-2, ...
+    counted from the last block up; every division must be exact."""
+    out = []
+    ratio = 1  # top!/m! for the current block's m
+    m = top
+    for block in reversed(blocks):
+        out.append(exact_div(block, ratio))
+        ratio *= m * (m - 1)
+        m -= 2
+    out.reverse()
+    return out
 
 
 def packed_tangent_params(n: int, half_block_bits: int | None = None) -> FixedPointParams:
-    """Form the packed quotient whose 2p-bit blocks hold the scaled tangents."""
-    params = compute_scaled_sin_cos(n, half_block_bits)
-    shift = (2 * params.n - 2) * params.half_block_bits
-    packed = round_nearest_div(params.sin_scaled << shift, params.cos_scaled)
-    return dataclasses.replace(params, packed=packed)
+    """Scaled sin and cos at 2**(-p) and their packed quotient, whose 2p-bit
+    blocks hold the scaled tangents."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
+    sin_sum = 0
+    ratio = math.factorial(2 * n)
+    for k in range(n):
+        ratio //= 2 * k + 1  # now (2n)!/(2k+1)!
+        sin_sum = (sin_sum << (2 * p)) + (-ratio if k % 2 else ratio)
+        ratio //= 2 * k + 2
+    sin_scaled = math.factorial(2 * n - 1) * sin_sum
+    cos_scaled = _scaled_cos(n, p, n)
+    packed = round_nearest_div(sin_scaled << ((2 * n - 2) * p), cos_scaled)
+    return FixedPointParams(n, p, sin_scaled, cos_scaled, packed)
 
 
 def fast_tangent_numbers(n: int, half_block_bits: int | None = None) -> TangentSeq:
-    """Return [T_1..T_n]; one big division replaces the quadratic sweep."""
+    """Return [T_1..T_n]; one big division replaces the quadratic sweep.
+
+    Block k holds T'_k = (2n-1)!/(2k-1)! * T_k.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return [1]  # the packed form needs n >= 2, and T_1 is pinned anyway
     params = packed_tangent_params(n, half_block_bits)
-    p = params.half_block_bits
-    blocks = extract_blocks(params.packed, 2 * p, n)
-    top_factorial = math.factorial(2 * n - 1)
-    out: TangentSeq = []
-    low_factorial = 1  # (2k-1)! built incrementally
-    for k, block in enumerate(blocks, start=1):
-        if k > 1:
-            low_factorial *= (2 * k - 2) * (2 * k - 1)
-        out.append(exact_div(block * low_factorial, top_factorial))
-    return out
-
-
-def secant_cos_scaled(n: int, half_block_bits: int) -> int:
-    """The n+1 term scaled cosine sum_{k<=n} (-1)**k 2**((2n-2k)p) (2n)!/(2k)!.
-
-    One more term than the tangent path: the k = n term contributes exactly
-    one unit of the least significant block, so dropping it would push the
-    packed secant quotient a whole unit off.
-    """
-    p = half_block_bits
-    even_ratios = _even_factorial_ratios(n)
-    cos_sum = 0
-    for k in range(n + 1):
-        term = even_ratios[k] << ((2 * n - 2 * k) * p)
-        cos_sum = cos_sum - term if k % 2 else cos_sum + term
-    return cos_sum
+    blocks = extract_blocks(params.packed, 2 * params.half_block_bits, n)
+    return _unscale(blocks, 2 * n - 1)
 
 
 def packed_secant_value(n: int, half_block_bits: int | None = None) -> int:
     """The rounded quotient ((2n)!)**2 * 2**(4np) / scaled-cos for n >= 2.
 
-    Its bits split into n+1 blocks holding S'_k = (2n)!/(2k)! * S_k: the low
-    n blocks are 2p bits wide, and the k = 0 block is everything above them
-    ((2n)! itself, which can spill past 2p bits for small n).
+    The scaled cos has n+1 terms, one more than the tangent path: the k = n
+    term contributes exactly one unit of the least significant block, so
+    dropping it would push the quotient a whole unit off. Its bits split
+    into n+1 blocks holding S'_k = (2n)!/(2k)! * S_k: the low n blocks are
+    2p bits wide, and the k = 0 block is everything above them ((2n)!
+    itself, which can spill past 2p bits for small n).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
     f2n = math.factorial(2 * n)
-    return round_nearest_div((f2n * f2n) << (4 * n * p), secant_cos_scaled(n, p))
+    return round_nearest_div((f2n * f2n) << (4 * n * p), _scaled_cos(n, p, n + 1))
 
 
 def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq:
@@ -151,16 +132,10 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
         return [1] * (n + 1)  # below the n >= 2 packing regime; pinned values
     p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
     packed = packed_secant_value(n, p)
-    blocks = [packed >> (2 * n * p)]  # S'_0 takes all remaining high bits
-    blocks += extract_blocks(packed & ((1 << (2 * n * p)) - 1), 2 * p, n)
-    f2n = math.factorial(2 * n)
-    out: SecantSeq = []
-    low_factorial = 1  # (2k)! built incrementally
-    for k, block in enumerate(blocks):
-        if k:
-            low_factorial *= (2 * k - 1) * (2 * k)
-        out.append(exact_div(block * low_factorial, f2n))
-    return out
+    low_bits = 2 * n * p
+    blocks = [packed >> low_bits]  # S'_0 takes all remaining high bits
+    blocks += extract_blocks(packed & ((1 << low_bits) - 1), 2 * p, n)
+    return _unscale(blocks, 2 * n)
 
 
 def quotient_fraction_audit(n: int) -> Fraction:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .softfloat import SoftFloat
@@ -52,21 +53,22 @@ def tangent_numbers(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ops = OpCounters()
     row = [0] * (n + 1)
     row[1] = 1
     for k in range(2, n + 1):
         row[k] = (k - 1) * row[k - 1]
-        ops.multiplications += 1
-        ops.init_multiplications += 1
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             row[j] = (j - k) * row[j - 1] + (j - k + 2) * row[j]
-            ops.additions += 1
-            ops.multiplications += 2
-            ops.loop_trips += 1
             if trace is not None:
                 trace(k, j, row[j])
+    trips = n * (n - 1) // 2
+    ops = OpCounters(
+        additions=trips,
+        multiplications=2 * trips + n - 1,
+        init_multiplications=n - 1,
+        loop_trips=trips,
+    )
     return row[1:], ops
 
 
@@ -78,19 +80,20 @@ def secant_numbers(n: int) -> tuple[SecantSeq, OpCounters]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ops = OpCounters()
     row = [0] * (n + 1)
     row[0] = 1
     for k in range(1, n + 1):
         row[k] = k * row[k - 1]
-        ops.multiplications += 1
-        ops.init_multiplications += 1
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             row[j] = (j - k) * row[j - 1] + (j - k + 1) * row[j]
-            ops.additions += 1
-            ops.multiplications += 2
-            ops.loop_trips += 1
+    trips = n * (n - 1) // 2
+    ops = OpCounters(
+        additions=trips,
+        multiplications=2 * trips + n,
+        init_multiplications=n,
+        loop_trips=trips,
+    )
     return row, ops
 
 
@@ -121,22 +124,17 @@ def atkinson_tangent_secant(n: int) -> tuple[TangentSeq, SecantSeq, OpCounters]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ops = OpCounters()
     tangent: TangentSeq = []
     secant: SecantSeq = [1]  # the seed row supplies S_0
-    prev = [1]
+    row = [1]
     for m in range(1, 2 * n + 1):
-        row = [0]
-        for i in range(1, m + 1):
-            row.append(row[i - 1] + prev[m - i])
-            ops.additions += 1
-            ops.loop_trips += 1
-        prev = row
+        row = list(accumulate(reversed(row), initial=0))
         if m % 2:
             tangent.append(row[m])
         else:
             secant.append(row[m])
-    return tangent, secant, ops
+    additions = n * (2 * n + 1)  # row m takes m additions, m = 1..2n
+    return tangent, secant, OpCounters(additions=additions, loop_trips=additions)
 
 
 def akiyama_tanigawa_bernoulli(n: int) -> BernoulliSeq:

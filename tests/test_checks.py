@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import btseq.checks as checks
+import btseq.engines as engines
 from btseq.checks import (
     cross_check,
     fermat_denominator_check,
@@ -53,14 +54,14 @@ class TestCrossCheck:
         assert report.all_pass
 
     def test_mismatch_reports_position(self, monkeypatch):
-        monkeypatch.setattr(checks, "fast_tangent_numbers", lambda n: [1] * n)
+        monkeypatch.setattr(engines, "fast_tangent_numbers", lambda n: [1] * n)
         report = checks.cross_check(4)
         failed = [c for c in report.checks if not c.passed]
         assert len(failed) == 1
         assert "position 1" in failed[0].witness
 
     def test_length_mismatch_reported(self, monkeypatch):
-        monkeypatch.setattr(checks, "fast_secant_numbers", lambda n: [1])
+        monkeypatch.setattr(engines, "fast_secant_numbers", lambda n: [1])
         report = checks.cross_check(3)
         failed = [c for c in report.checks if not c.passed]
         assert len(failed) == 1
@@ -115,6 +116,13 @@ class TestZetaRatio:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             zeta_ratio_check(0, Fraction(1))
+
+    @pytest.mark.parametrize("n", [128, 200])
+    def test_enclosure_decided_past_256_bits(self, n):
+        # the gap to either end is about 2**(-2n), beyond a 256-bit pi
+        b = bernoulli_from_tangent(tangent_numbers(n)[0])[2 * n]
+        lo, hi = zeta_ratio_check(n, b)
+        assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
 
 
 class TestSizeChecks:
@@ -204,6 +212,12 @@ class TestFullVerification:
         report = full_verification(12, precision=53)
         assert report.all_pass
         assert len(report.checks) == 16
+
+    def test_tail_audit_states_its_cap(self):
+        report = full_verification(35)
+        tail = [c for c in report.checks if c.name == "packed-quotient tail bound"]
+        assert tail[0].passed
+        assert tail[0].witness == "audited n = 2..30 of 2..35"
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
-import btseq.checks
-import btseq.cli
+import btseq.engines
 from btseq.cli import run_cli
 from btseq.intops import IntegrityError
-from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
+from btseq.recurrences import (
+    atkinson_tangent_secant,
+    bernoulli_from_tangent,
+    tangent_numbers,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +69,14 @@ class TestSequenceCommands:
         values = [Fraction(v) for v in payload["values"]]
         assert values == bernoulli_from_tangent(tangent_numbers(5)[0])
 
+    @pytest.mark.parametrize("command", ["tangent", "secant", "bernoulli"])
+    def test_json_bytes_match_json_dumps(self, capsys, command):
+        code, out, _ = run(capsys, command, "-n", "4", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert list(payload) == ["kind", "n", "first_index", "values"]
+
     def test_json_tangent_first_index(self, capsys):
         code, out, _ = run(capsys, "tangent", "-n", "3", "--format", "json")
         assert code == 0
@@ -81,7 +92,7 @@ class TestSequenceCommands:
         assert target.read_text() == "1 1\n2 2\n3 16\n4 272\n5 7936\n"
 
     def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(btseq.cli, "fast_tangent_numbers", lambda n: [1] * n)
+        monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", lambda n: [1] * n)
         code, out, _ = run(capsys, "tangent", "-n", "6", "--algorithm", "all")
         assert code == 2
         assert "disagree" in out
@@ -90,10 +101,63 @@ class TestSequenceCommands:
         def broken(n):
             raise IntegrityError("forced for the test")
 
-        monkeypatch.setattr(btseq.cli, "fast_tangent_numbers", broken)
+        monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", broken)
         code, _, err = run(capsys, "tangent", "-n", "6", "--algorithm", "fast")
         assert code == 3
         assert "integrity error" in err
+
+    def test_internal_fault_exits_three_not_one(self, capsys, monkeypatch):
+        def broken(n):
+            raise ValueError("forced for the test")
+
+        monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", broken)
+        code, _, err = run(capsys, "tangent", "-n", "6", "--algorithm", "fast")
+        assert code == 3
+        assert "internal error" in err
+        assert "usage error" not in err
+
+
+@pytest.fixture(scope="module")
+def triangle_1050():
+    """T_1..T_1050 from the boustrophedon triangle, for outputs past the
+    4300-digit int-to-str limit."""
+    return atkinson_tangent_secant(1050)[0]
+
+
+def to_decimal(value: int) -> str:
+    """str(value) without the int-to-str digit limit: nine digits a chunk."""
+    sign, value = ("-" if value < 0 else ""), abs(value)
+    chunks = []
+    while value >= 10**9:
+        value, chunk = divmod(value, 10**9)
+        chunks.append(f"{chunk:09d}")
+    return sign + str(value) + "".join(reversed(chunks))
+
+
+def last_line_value(out: str) -> tuple[int, str]:
+    index, value = out.splitlines()[-1].split(" ")
+    return int(index), value
+
+
+class TestLargeValues:
+    def test_tangent_past_digit_limit(self, capsys, triangle_1050):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "tangent", "-n", "850")
+        assert code == 0, err
+        index, value = last_line_value(out)
+        assert index == 850
+        assert len(value) > 4300
+        assert value == to_decimal(triangle_1050[849])
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_bernoulli_past_digit_limit(self, capsys, triangle_1050):
+        code, out, err = run(capsys, "bernoulli", "-n", "2100")
+        assert code == 0, err
+        index, value = last_line_value(out)
+        assert index == 2100
+        expected = bernoulli_from_tangent(triangle_1050)[2100]
+        assert len(value) > 4300
+        assert value == f"{to_decimal(expected.numerator)}/{expected.denominator}"
 
 
 class TestGoldenFiles:
@@ -138,7 +202,7 @@ class TestVerifyCommand:
 
     def test_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            btseq.checks, "fast_tangent_numbers", lambda n: [1] * n
+            btseq.engines, "fast_tangent_numbers", lambda n: [1] * n
         )
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
@@ -179,6 +243,15 @@ class TestInstalledEntryPoint:
             text=True,
         )
         assert result.returncode == 1  # no arguments is a usage error
+
+    def test_module_entry_point(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "btseq", "tangent", "-n", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout == "1 1\n2 2\n3 16\n"
 
     def test_console_script_tangent(self):
         result = subprocess.run(

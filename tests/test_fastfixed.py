@@ -8,15 +8,13 @@ from fractions import Fraction
 import pytest
 
 from btseq.fastfixed import (
-    FixedPointParams,
-    compute_scaled_sin_cos,
+    _scaled_cos,
     fast_secant_numbers,
     fast_tangent_numbers,
     least_half_block_bits,
     packed_secant_value,
     packed_tangent_params,
     quotient_fraction_audit,
-    secant_cos_scaled,
 )
 from btseq.recurrences import secant_numbers, tangent_numbers
 
@@ -41,12 +39,10 @@ class TestScaledSeries:
     def test_n2_by_hand(self):
         # p = 2; sin: 3!*(4!/1! * 2**(2p) - 4!/3!) = 6*(24*16 - 4) = 2280
         # cos: 4!/0! * 2**(2p) - 4!/2! = 384 - 12 = 372
-        params = compute_scaled_sin_cos(2)
+        params = packed_tangent_params(2)
         assert params.half_block_bits == 2
         assert params.sin_scaled == 2280
         assert params.cos_scaled == 372
-        assert params.eval_exponent == -2
-        assert params.packed is None
 
     def test_n2_packed_by_hand(self):
         # V = round(2280 * 2**(2p) / 372) = round(36480/372) = round(98.06) = 98
@@ -57,20 +53,20 @@ class TestScaledSeries:
     def test_cos_tracks_exact_cosine(self, n):
         # the scaled cos is cos(2**-p) truncated to n terms, scaled up by
         # (2n)! * 2**((2n-2)p); the true value is just under the scale
-        params = compute_scaled_sin_cos(n)
+        params = packed_tangent_params(n)
         scale = math.factorial(2 * n) * 2 ** ((2 * n - 2) * params.half_block_bits)
         assert 0 < params.cos_scaled <= scale
         assert Fraction(params.cos_scaled, scale) > Fraction(9, 10)
 
     def test_explicit_block_width_override(self):
-        default = compute_scaled_sin_cos(4)
-        wider = compute_scaled_sin_cos(4, default.half_block_bits + 3)
+        default = packed_tangent_params(4)
+        wider = packed_tangent_params(4, default.half_block_bits + 3)
         assert wider.half_block_bits == default.half_block_bits + 3
         assert wider.sin_scaled != default.sin_scaled
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            compute_scaled_sin_cos(1)
+            packed_tangent_params(1)
 
 
 class TestFastTangent:
@@ -98,7 +94,7 @@ class TestFastSecant:
     def test_n2_packed_by_hand(self):
         # cos with the extra term: 24*2**(4p) - 12*2**(2p) + 1 = 6144-192+1
         # = 5953; V = round(24*24*2**(8p)/5953) = round(37748736/5953) = 6341
-        assert secant_cos_scaled(2, 2) == 5953
+        assert _scaled_cos(2, 2, 3) == 5953
         assert packed_secant_value(2) == 6341
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 24])
