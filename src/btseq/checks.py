@@ -4,8 +4,8 @@ Every engine family is compared pairwise on the same inputs. Bernoulli
 denominators are pinned exactly by the Von Staudt-Clausen theorem and by the
 divisibility of their odd prime factors into 2**m - 1. Sizes and ratios are
 held against their analytic bounds, and the fixed-precision recurrences are
-contrasted with exact values. Pi enters only as a pair of rational bounds,
-so every inequality here is decided in exact arithmetic.
+contrasted with exact values. Pi enters only as a pair of dyadic bounds, so
+every inequality here is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .engines import ENGINES, REACH
-from .fastfixed import least_half_block_bits, quotient_fraction_audit
+# quotient_fraction_audit is re-exported: the exact Fraction form of the audit
+from .fastfixed import (
+    least_half_block_bits,
+    quotient_fraction_audit,
+    quotient_rounding_distance,
+)
 from .intops import IntegrityError
 from .recurrences import (
     BernoulliSeq,
@@ -47,13 +52,18 @@ class VerificationReport:
 
 @lru_cache(maxsize=None)
 def pi_bounds(bits: int = 256) -> tuple[Fraction, Fraction]:
-    """Rational lo < pi < hi with hi - lo below 2**-bits.
+    """Dyadic lo < pi < hi with hi - lo below 2**-bits.
 
     Machin's identity pi = 16 atan(1/5) - 4 atan(1/239). Each arctangent
     series alternates with strictly shrinking terms, so the partial sum and
-    the first omitted term bracket the true value.
+    the first omitted term bracket the true value. The two brackets leave
+    a width under 20 grid steps of 2**-(bits+8); rounding each end outward
+    onto that grid adds at most two more and keeps both bounds short
+    (about bits + 10 numerator bits over a power of two), which is what
+    makes raising them to the 2n-th power cheap.
     """
-    threshold = Fraction(1, 1 << (bits + 8))
+    grid = bits + 8
+    threshold = Fraction(1, 1 << grid)
 
     def atan_inv_bounds(x: int) -> tuple[Fraction, Fraction]:
         total = Fraction(0)
@@ -72,7 +82,10 @@ def pi_bounds(bits: int = 256) -> tuple[Fraction, Fraction]:
 
     lo5, hi5 = atan_inv_bounds(5)
     lo239, hi239 = atan_inv_bounds(239)
-    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    lo_steps = (lo.numerator << grid) // lo.denominator  # floor
+    hi_steps = -((-hi.numerator << grid) // hi.denominator)  # ceiling
+    return Fraction(lo_steps, 1 << grid), Fraction(hi_steps, 1 << grid)
 
 
 @lru_cache(maxsize=None)
@@ -168,6 +181,22 @@ def zeta_ratio_check(
     pi_lo, pi_hi = pi_bounds(_zeta_pi_bits(n)) if pi is None else pi
     scale = abs(Fraction(b)) / (2 * math.factorial(2 * n))
     return scale * (2 * pi_lo) ** (2 * n), scale * (2 * pi_hi) ** (2 * n)
+
+
+def _zeta_miss(n: int, lo: Fraction, hi: Fraction) -> str | None:
+    """None when 1 < lo and hi < 1 + 2**(1-2n); otherwise the end that
+    failed and how far it missed, as a power of two from the exact values."""
+    top = 1 + Fraction(1, 1 << (2 * n - 1))
+    if lo <= 1:
+        side, miss = "lower end is not above 1", 1 - lo
+    elif hi >= top:
+        side, miss = f"upper end is not below 1 + 2**({1 - 2 * n})", hi - top
+    else:
+        return None
+    if not miss:
+        return f"index {2 * n}: {side}, it meets the bound exactly"
+    bits = math.log2(miss.numerator) - math.log2(miss.denominator)
+    return f"index {2 * n}: {side}, missed by 2**({bits:.2f})"
 
 
 def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationReport:
@@ -335,9 +364,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     ok, witness = True, None
     pi = pi_bounds(_zeta_pi_bits(n))
     for k in range(2, n + 1):
-        lo, hi = zeta_ratio_check(k, bernoulli[2 * k], pi)
-        if not (1 < lo and hi < 1 + Fraction(2) ** (1 - 2 * k)):
-            ok, witness = False, f"index {2 * k}: enclosure ({float(lo)}, {float(hi)})"
+        witness = _zeta_miss(k, *zeta_ratio_check(k, bernoulli[2 * k], pi))
+        if witness:
+            ok = False
             break
     checks.append(CheckResult("zeta ratio enclosure", ok, witness))
 
@@ -355,7 +384,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
 
         ok, witness = True, None
         for k in range(2, n + 1):
-            if quotient_fraction_audit(k) >= Fraction(12, 100):
+            d, den = quotient_rounding_distance(k)
+            if 100 * d >= 12 * den:
                 ok, witness = False, f"n={k}"
                 break
         checks.append(CheckResult("packed-quotient rounding budget", ok, witness))

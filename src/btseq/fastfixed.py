@@ -138,6 +138,23 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
     return _unscale(blocks, 2 * n)
 
 
+def quotient_rounding_distance(n: int) -> tuple[int, int]:
+    """The packed quotient's distance from the unrounded ratio, as (d, den).
+
+    The distance is exactly d/den, with d = |sin_scaled * 2**shift -
+    packed * cos_scaled| and den = cos_scaled, left unreduced so a budget
+    can be decided by one integer comparison. packed is the engine's own
+    rounded quotient, so the audit adds one multiply-back to the engine's
+    work and no second division.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    params = packed_tangent_params(n)
+    shift = (2 * params.n - 2) * params.half_block_bits
+    d = abs((params.sin_scaled << shift) - params.packed * params.cos_scaled)
+    return d, params.cos_scaled
+
+
 def quotient_fraction_audit(n: int) -> Fraction:
     """Exact distance between the packed quotient and the unrounded ratio.
 
@@ -145,9 +162,4 @@ def quotient_fraction_audit(n: int) -> Fraction:
     snaps to the true block sum; the budget covering the dropped series
     tail plus the cos approximation is 0.12.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    params = packed_tangent_params(n)
-    shift = (2 * params.n - 2) * params.half_block_bits
-    ratio = Fraction(params.sin_scaled << shift, params.cos_scaled)
-    return abs(ratio - params.packed)
+    return Fraction(*quotient_rounding_distance(n))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import btseq.checks as checks
 import btseq.engines as engines
+import btseq.fastfixed as fastfixed
 from btseq.checks import (
     cross_check,
     fermat_denominator_check,
@@ -19,12 +21,18 @@ from btseq.checks import (
     von_staudt_clausen,
     zeta_ratio_check,
 )
+from btseq.cli import run_cli
 from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
 
 # 64 decimal digits, so the literal itself is good to ~2**-212
 PI_REFERENCE = Fraction(
     "3.1415926535897932384626433832795028841971693993751058209749445923"
+)
+# pi truncated to 100 decimals, so PI_100 < pi < PI_100 + 10**-100 (~2**-332)
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923"
+    "078164062862089986280348253421170679"
 )
 
 
@@ -43,6 +51,14 @@ class TestPiBounds:
         lo, hi = pi_bounds(64)
         assert lo < PI_REFERENCE < hi
         assert hi - lo < Fraction(1, 2**64)
+
+    @pytest.mark.parametrize("bits", [64, 256, 283])
+    def test_dyadic_enclosure(self, bits):
+        lo, hi = pi_bounds(bits)
+        for bound in (lo, hi):
+            assert bound.denominator & (bound.denominator - 1) == 0
+        assert lo < PI_100 and PI_100 + Fraction(1, 10**100) < hi
+        assert hi - lo < Fraction(1, 2**bits)
 
 
 class TestCrossCheck:
@@ -116,6 +132,28 @@ class TestZetaRatio:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             zeta_ratio_check(0, Fraction(1))
+
+    @pytest.mark.parametrize(
+        "sign,side", [(1, "upper end is not below"), (-2, "lower end is not above")]
+    )
+    def test_failure_names_the_end_that_missed(self, monkeypatch, sign, side):
+        # zeta(60) is about 1 + 2**-60: B_60 scaled by 1 + 2**-58 puts the
+        # ratio near 1 + 5 * 2**-60, past 1 + 2**-59; by 1 - 2**-57 it puts
+        # it near 1 - 7 * 2**-60, below 1
+        k = 30
+
+        def skewed(tangent):
+            values = bernoulli_from_tangent(tangent)
+            values[2 * k] *= 1 + sign * Fraction(4, 2 ** (2 * k))
+            return values
+
+        monkeypatch.setattr(checks, "bernoulli_from_tangent", skewed)
+        report = full_verification(32)
+        zeta = [c for c in report.checks if c.name == "zeta ratio enclosure"]
+        assert not zeta[0].passed
+        assert zeta[0].witness.startswith(f"index {2 * k}: {side}")
+        assert "missed by 2**(-" in zeta[0].witness
+        assert "1.0, 1.0" not in zeta[0].witness
 
     @pytest.mark.parametrize("n", [128, 200])
     def test_enclosure_decided_past_256_bits(self, n):
@@ -222,3 +260,23 @@ class TestFullVerification:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             full_verification(0)
+
+    def test_whole_battery_past_128(self):
+        # 130 > 128: the pi precision grows past 256 bits, and the rounding
+        # budget is audited at every k up to 130
+        assert full_verification(130).all_pass
+
+
+class TestRoundingBudget:
+    def test_off_by_one_quotient_fails(self, capsys, monkeypatch):
+        original = fastfixed.packed_tangent_params
+
+        def off_by_one(n, half_block_bits=None):
+            params = original(n, half_block_bits)
+            return dataclasses.replace(params, packed=params.packed + 1)
+
+        monkeypatch.setattr(fastfixed, "packed_tangent_params", off_by_one)
+        code = run_cli(["verify", "-n", "5"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "FAIL packed-quotient rounding budget  [n=2]" in out.splitlines()

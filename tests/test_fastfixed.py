@@ -15,6 +15,7 @@ from btseq.fastfixed import (
     packed_secant_value,
     packed_tangent_params,
     quotient_fraction_audit,
+    quotient_rounding_distance,
 )
 from btseq.recurrences import secant_numbers, tangent_numbers
 
@@ -135,3 +136,16 @@ class TestQuotientAudit:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             quotient_fraction_audit(1)
+
+    @pytest.mark.parametrize("n", list(range(2, 41)))
+    def test_integer_distance_matches_fraction(self, n):
+        params = packed_tangent_params(n)
+        shift = (2 * n - 2) * params.half_block_bits
+        ratio = Fraction(params.sin_scaled << shift, params.cos_scaled)
+        d, den = quotient_rounding_distance(n)
+        assert den == params.cos_scaled
+        assert Fraction(d, den) == abs(ratio - params.packed)
+
+    def test_integer_distance_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            quotient_rounding_distance(1)
