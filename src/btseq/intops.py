@@ -4,6 +4,12 @@ Values are plain Python ints, so precision is unbounded. These helpers add
 the few operations the engines need beyond the builtin operators: factorial
 ratios without forming full factorials, correctly rounded division, division
 that must come out exact, and a fixed-width bit-block codec.
+
+Both divisions go through `_divmod`, which divides large operands by
+Burnikel-Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
+1998). It costs a few multiplications of the divisor's size, so over
+CPython's Karatsuba multiply it is sub-quadratic, where the builtin `divmod`
+on CPython 3.11 and earlier is schoolbook.
 """
 
 from __future__ import annotations
@@ -23,13 +29,71 @@ def factorial_ratio(a: int, b: int) -> int:
     return math.prod(range(b + 1, a + 1))
 
 
+# Divisors of at most this many bits go to the builtin divmod, whose
+# schoolbook cost is no worse than the recursion's at this size.
+_DIV_CUTOFF_BITS = 4000
+
+
+def _divmod(num: int, den: int) -> tuple[int, int]:
+    """Return divmod(num, den), by recursion when num >= 0 and den is large.
+
+    The numerator is read as digits of den's bit length, most significant
+    first, and each remainder-and-digit pair is one 2n-by-n-bit division.
+    """
+    n = den.bit_length()
+    if n <= _DIV_CUTOFF_BITS or num < 0 or den < 0:
+        return divmod(num, den)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range(n * ((num.bit_length() - 1) // n), -1, -n):
+        digit, r = _div2n1n((r << n) | ((num >> shift) & mask), den, n)
+        q = (q << n) | digit
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """Return divmod(a, b) for b of exactly n bits and 0 <= a < b << n."""
+    if a.bit_length() - n <= _DIV_CUTOFF_BITS:
+        return divmod(a, b)
+    # the halves must be equal, so an odd n is padded by one bit
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return (q1 << half) | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """Divide the 3n-bit (a12 << n) | a3 by the 2n-bit b = (b1 << n) | b2.
+
+    Needs (a12 << n) | a3 < b << n. The quotient is first estimated from
+    a12 // b1, which is at most 2 too large; the loop takes it down.
+    """
+    if a12 >> n == b1:
+        q = (1 << n) - 1
+        r = a12 - q * b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = ((r << n) | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def round_nearest_div(num: int, den: int) -> int:
     """Round num/den to the nearest integer, halves away from zero."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     if num < 0:
         raise ValueError("numerator must be nonnegative")
-    q, r = divmod(num, den)
+    q, r = _divmod(num, den)
+    if not 0 <= r < den:
+        raise IntegrityError(f"remainder out of range for a {den.bit_length()}-bit divisor")
     return q + (1 if 2 * r >= den else 0)
 
 
@@ -37,9 +101,13 @@ def exact_div(num: int, den: int) -> int:
     """Divide two integers and insist the division leaves no remainder."""
     if den == 0:
         raise ValueError("division by zero")
-    q, r = divmod(num, den)
+    q, r = _divmod(num, den)
     if r:
-        raise IntegrityError(f"{den} does not divide {num}")
+        # bit lengths, since large ints cannot be formatted in decimal
+        raise IntegrityError(
+            f"a {den.bit_length()}-bit divisor leaves a remainder"
+            f" on a {num.bit_length()}-bit numerator"
+        )
     return q
 
 

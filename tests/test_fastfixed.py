@@ -149,3 +149,18 @@ class TestQuotientAudit:
     def test_integer_distance_rejects_small_n(self):
         with pytest.raises(ValueError):
             quotient_rounding_distance(1)
+
+
+class TestRecursiveDivisionSize:
+    """At n = 300 the big division is 2.96 Mbit by 1.48 Mbit, so it runs
+    the recursive divmod several levels deep."""
+
+    def test_tangent_matches_row_engine(self):
+        assert fast_tangent_numbers(300) == tangent_numbers(300)[0]
+
+    def test_secant_matches_row_engine(self):
+        assert fast_secant_numbers(300) == secant_numbers(300)[0]
+
+    def test_distance_under_budget(self):
+        d, den = quotient_rounding_distance(300)
+        assert 100 * d < 12 * den

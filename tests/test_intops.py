@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btseq import intops
 from btseq.intops import (
+    _DIV_CUTOFF_BITS,
     IntegrityError,
+    _divmod,
     exact_div,
     extract_blocks,
     factorial_ratio,
@@ -61,6 +64,77 @@ class TestRoundNearestDiv:
             round_nearest_div(1, 0)
         with pytest.raises(ValueError):
             round_nearest_div(-1, 2)
+
+
+CUTOFF = _DIV_CUTOFF_BITS
+# both sides of the builtin cutoff, odd and even lengths, and divisors that
+# take the recursion one level (cutoff + 1, 2x cutoff) and three levels deep
+DIVISOR_BITS = [
+    CUTOFF - 1, CUTOFF, CUTOFF + 1,
+    2 * CUTOFF - 1, 2 * CUTOFF, 2 * CUTOFF + 1,
+    8 * CUTOFF, 8 * CUTOFF + 1,
+]
+NUMERATOR_KINDS = ["zero", "below", "multiple", "multiple - 1", "wide"]
+
+
+class TestRecursiveDivmod:
+    """_divmod must equal the builtin divmod at sizes where it recurses.
+
+    Operands of thousands of bits are built from a drawn Random, because
+    hypothesis cannot draw integers that wide directly.
+    """
+
+    @given(
+        st.sampled_from(DIVISOR_BITS),
+        st.sampled_from(NUMERATOR_KINDS),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_builtin(self, bits, kind, rng):
+        den = rng.getrandbits(bits) | (1 << (bits - 1))
+        if kind == "zero":
+            num = 0
+        elif kind == "below":
+            num = rng.randrange(den)
+        elif kind == "wide":
+            num = rng.getrandbits(rng.randint(bits, 4 * bits))
+        else:
+            num = (rng.getrandbits(rng.randint(1, 3 * bits)) | 1) * den
+            if kind == "multiple - 1":
+                num -= 1
+        assert _divmod(num, den) == divmod(num, den)
+
+    @given(st.sampled_from(DIVISOR_BITS), st.integers(0, 4 * 8 * CUTOFF))
+    def test_all_ones_divisor(self, bits, k):
+        # den = 2**m - 1 and num = den * 2**k - 1 make the top half of a
+        # partial remainder equal the divisor's top half, and make the
+        # quotient estimate too large, so the correction loop runs
+        den = (1 << bits) - 1
+        num = den * (1 << k) - 1
+        assert _divmod(num, den) == divmod(num, den)
+
+    @given(st.sampled_from(DIVISOR_BITS), st.randoms(use_true_random=False))
+    def test_large_tie_rounds_up(self, bits, rng):
+        den = (rng.getrandbits(bits) | (1 << (bits - 1))) & ~1
+        q = rng.getrandbits(bits)
+        assert round_nearest_div(q * den + den // 2, den) == q + 1
+        assert round_nearest_div(q * den + den // 2 - 1, den) == q
+
+    @given(st.sampled_from(DIVISOR_BITS), st.randoms(use_true_random=False))
+    def test_large_exact_div(self, bits, rng):
+        den = rng.getrandbits(bits) | (1 << (bits - 1))
+        q = rng.getrandbits(2 * bits)
+        assert exact_div(q * den, den) == q
+        with pytest.raises(IntegrityError):
+            exact_div(q * den + 1, den)
+
+    def test_round_nearest_div_rejects_bad_remainder(self, monkeypatch):
+        def off_by_one(num, den):
+            q, r = divmod(num, den)
+            return q - 1, r + den
+
+        monkeypatch.setattr(intops, "_divmod", off_by_one)
+        with pytest.raises(IntegrityError):
+            round_nearest_div(7, 2)
 
 
 class TestExactDiv:
