@@ -16,12 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .engines import ENGINES, REACH
-# quotient_fraction_audit is re-exported: the exact Fraction form of the audit
-from .fastfixed import (
-    least_half_block_bits,
-    quotient_fraction_audit,
-    quotient_rounding_distance,
-)
+from .fastfixed import least_half_block_bits, quotient_rounding_distance
 from .intops import IntegrityError
 from .recurrences import (
     BernoulliSeq,
@@ -101,12 +96,20 @@ def _primes_to(limit: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(flags) if flag)
 
 
+def _bits(value) -> str:
+    """A value's size as "N-bit", or "N/D-bit" for numerator and denominator
+    of a non-integer; large values cannot be formatted in decimal."""
+    num, den = value.numerator.bit_length(), value.denominator.bit_length()
+    return f"{num}-bit" if den == 1 else f"{num}/{den}-bit"
+
+
 def _sequences_equal(name: str, left, right) -> CheckResult:
     if list(left) == list(right):
         return CheckResult(name, True)
     for index, (a, b) in enumerate(zip(left, right)):
         if a != b:
-            return CheckResult(name, False, f"position {index}: {a} != {b}")
+            witness = f"position {index}: a {_bits(a)} value != a {_bits(b)} value"
+            return CheckResult(name, False, witness)
     return CheckResult(name, False, f"lengths differ: {len(left)} != {len(right)}")
 
 
@@ -146,7 +149,9 @@ def von_staudt_clausen(m: int, b: Fraction) -> int:
     primes = [p for p in _primes_to(m + 1) if m % (p - 1) == 0]
     total = Fraction(b) + sum(Fraction(1, p) for p in primes)
     if total.denominator != 1:
-        raise IntegrityError(f"B_{m} plus its prime reciprocals is not an integer: {total}")
+        raise IntegrityError(
+            f"B_{m} plus its prime reciprocals is a {_bits(total)} non-integer"
+        )
     if Fraction(b).denominator != math.prod(primes):
         raise IntegrityError(
             f"denominator of B_{m} differs from the prime product {math.prod(primes)}"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intops import exact_div, extract_blocks, round_nearest_div
 from .recurrences import SecantSeq, TangentSeq
@@ -47,17 +46,18 @@ class FixedPointParams:
     packed: int
 
 
-def _scaled_cos(n: int, p: int, terms: int) -> int:
-    """sum_{k<terms} (-1)**k * 2**((2terms-2k-2)p) * (2n)!/(2k)!, for terms <= n+1.
+def _scaled_series(n: int, p: int, terms: int, first: int) -> int:
+    """sum_{k<terms} (-1)**k * 2**((2terms-2k-2)p) * (2n)!/(2k+first)!,
+    for 2(terms-1) + first <= 2n.
 
-    That is cos(2**(-p)) truncated to `terms` terms and scaled by
-    (2n)! * 2**((2terms-2)p).
+    first = 0 gives cos(2**(-p)) and first = 1 gives sin(2**(-p)) * 2**p,
+    each truncated to `terms` terms and scaled by (2n)! * 2**((2terms-2)p).
     """
     total = 0
-    ratio = math.factorial(2 * n)  # (2n)!/(2k)!
+    ratio = math.factorial(2 * n)  # (2n)!/(2k+first)!
     for k in range(terms):
         total = (total << (2 * p)) + (-ratio if k % 2 else ratio)
-        ratio //= (2 * k + 1) * (2 * k + 2)
+        ratio //= (2 * k + first + 1) * (2 * k + first + 2)
     return total
 
 
@@ -81,14 +81,8 @@ def packed_tangent_params(n: int, half_block_bits: int | None = None) -> FixedPo
     if n < 2:
         raise ValueError("n must be >= 2")
     p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
-    sin_sum = 0
-    ratio = math.factorial(2 * n)
-    for k in range(n):
-        ratio //= 2 * k + 1  # now (2n)!/(2k+1)!
-        sin_sum = (sin_sum << (2 * p)) + (-ratio if k % 2 else ratio)
-        ratio //= 2 * k + 2
-    sin_scaled = math.factorial(2 * n - 1) * sin_sum
-    cos_scaled = _scaled_cos(n, p, n)
+    sin_scaled = math.factorial(2 * n - 1) * _scaled_series(n, p, n, 1)
+    cos_scaled = _scaled_series(n, p, n, 0)
     packed = round_nearest_div(sin_scaled << ((2 * n - 2) * p), cos_scaled)
     return FixedPointParams(n, p, sin_scaled, cos_scaled, packed)
 
@@ -121,7 +115,8 @@ def packed_secant_value(n: int, half_block_bits: int | None = None) -> int:
         raise ValueError("n must be >= 2")
     p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
     f2n = math.factorial(2 * n)
-    return round_nearest_div((f2n * f2n) << (4 * n * p), _scaled_cos(n, p, n + 1))
+    cos_scaled = _scaled_series(n, p, n + 1, 0)
+    return round_nearest_div((f2n * f2n) << (4 * n * p), cos_scaled)
 
 
 def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq:
@@ -141,9 +136,11 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
 def quotient_rounding_distance(n: int) -> tuple[int, int]:
     """The packed quotient's distance from the unrounded ratio, as (d, den).
 
-    The distance is exactly d/den, with d = |sin_scaled * 2**shift -
-    packed * cos_scaled| and den = cos_scaled, left unreduced so a budget
-    can be decided by one integer comparison. packed is the engine's own
+    Rounding snaps to the true block sum when this distance is below 1/2;
+    the verify budget, covering the dropped series tail plus the cos
+    approximation, is 0.12. The distance is exactly d/den, with
+    d = |sin_scaled * 2**shift - packed * cos_scaled| and den = cos_scaled,
+    left unreduced so a budget can be decided by one integer comparison. packed is the engine's own
     rounded quotient, so the audit adds one multiply-back to the engine's
     work and no second division.
     """
@@ -153,13 +150,3 @@ def quotient_rounding_distance(n: int) -> tuple[int, int]:
     shift = (2 * params.n - 2) * params.half_block_bits
     d = abs((params.sin_scaled << shift) - params.packed * params.cos_scaled)
     return d, params.cos_scaled
-
-
-def quotient_fraction_audit(n: int) -> Fraction:
-    """Exact distance between the packed quotient and the unrounded ratio.
-
-    The packing argument needs this distance below 1/2 so that rounding
-    snaps to the true block sum; the budget covering the dropped series
-    tail plus the cos approximation is 0.12.
-    """
-    return Fraction(*quotient_rounding_distance(n))

@@ -41,15 +41,17 @@ class OpCounters:
 
 
 def tangent_numbers(
-    n: int, trace: Optional[Callable[[int, int, int], None]] = None
+    n: int, trace: Optional[Callable[[int, list[int]], None]] = None
 ) -> tuple[TangentSeq, OpCounters]:
     """Return ([T_1..T_n], counters) via the in-place three-term update.
 
     The row starts as T_k = (k-1)! and each outer pass k applies
     T_j <- (j-k) T_{j-1} + (j-k+2) T_j for j = k..n, sweeping one diagonal
     of the table of derivative-polynomial coefficients of tan. `trace`,
-    when given, is called as trace(k, j, value) after every inner update
-    (used to test the dataflow).
+    when given, is called as trace(k, row) once after each outer pass k,
+    when row[j] for j = k..n still holds the value of inner update (k, j)
+    (used to test the dataflow). row is the live buffer: read it during
+    the call, and neither keep nor change it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -60,8 +62,8 @@ def tangent_numbers(
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             row[j] = (j - k) * row[j - 1] + (j - k + 2) * row[j]
-            if trace is not None:
-                trace(k, j, row[j])
+        if trace is not None:
+            trace(k, row)
     trips = n * (n - 1) // 2
     ops = OpCounters(
         additions=trips,

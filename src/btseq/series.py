@@ -1,31 +1,22 @@
 """Truncated power series reciprocal over exact rationals.
 
-The reciprocal runs Newton's doubling iteration b <- b * (2 - a * b); each
-pass doubles the number of settled coefficients. Multiplication is plain
-schoolbook convolution, everything stays a Fraction, and every returned
-reciprocal is re-verified against the defining convolution identity before
-it leaves this module. Applying the reciprocal to the series of
-(exp(z) - 1) / z yields the Bernoulli numbers.
+A truncated series is a plain sequence of Fractions, entry j multiplying
+z**j, and its length is its order. The reciprocal runs Newton's doubling
+iteration b <- b * (2 - a * b); each pass doubles the number of settled
+coefficients. Multiplication is plain schoolbook convolution, everything
+stays a Fraction, and every returned reciprocal (a tuple) is re-verified
+against the defining convolution identity before it leaves this module.
+Applying the reciprocal to the series of (exp(z) - 1) / z yields the
+Bernoulli numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .intops import IntegrityError
 from .recurrences import BernoulliSeq
-
-
-@dataclass(frozen=True)
-class SeriesTrunc:
-    """A truncated power series; coeffs[j] multiplies z**j."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
 
 
 def _convolve(a, b, order: int) -> list[Fraction]:
@@ -40,29 +31,28 @@ def _convolve(a, b, order: int) -> list[Fraction]:
     return out
 
 
-def check_reciprocal(a: SeriesTrunc, b: SeriesTrunc) -> None:
-    """Verify sum_j a_j b_{m-j} = [m == 0] for every m below b's order."""
-    product = _convolve(a.coeffs, b.coeffs, b.order)
+def check_reciprocal(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
+    """Verify sum_j a_j b_{m-j} = [m == 0] for every m below len(b)."""
+    product = _convolve(a, b, len(b))
     if product[0] != 1 or any(product[1:]):
         raise IntegrityError("series reciprocal violates its convolution identity")
 
 
-def series_reciprocal(a: SeriesTrunc, order: int) -> SeriesTrunc:
+def series_reciprocal(a: Sequence[Fraction], order: int) -> tuple[Fraction, ...]:
     """Return b with a * b = 1 modulo z**order, by Newton doubling."""
     if order < 1:
         raise ValueError("order must be positive")
-    if not a.coeffs or a.coeffs[0] == 0:
+    if not a or a[0] == 0:
         raise ValueError("series must have a nonzero constant term")
-    b = [Fraction(1) / a.coeffs[0]]
+    b = [Fraction(1) / a[0]]
     settled = 1
     while settled < order:
         settled = min(2 * settled, order)
-        ab = _convolve(a.coeffs, b, settled)
+        ab = _convolve(a, b, settled)
         correction = [2 - ab[0]] + [-c for c in ab[1:]]
         b = _convolve(b, correction, settled)
-    result = SeriesTrunc(tuple(b))
-    check_reciprocal(a, result)
-    return result
+    check_reciprocal(a, b)
+    return tuple(b)
 
 
 def bernoulli_via_series(n: int) -> BernoulliSeq:
@@ -78,10 +68,9 @@ def bernoulli_via_series(n: int) -> BernoulliSeq:
     for j in range(n + 1):
         factorial *= j + 1
         coeffs.append(Fraction(1, factorial))
-    reciprocal = series_reciprocal(SeriesTrunc(tuple(coeffs)), n + 1)
     out: BernoulliSeq = []
     factorial = 1
-    for j, coeff in enumerate(reciprocal.coeffs):
+    for j, coeff in enumerate(series_reciprocal(coeffs, n + 1)):
         if j:
             factorial *= j
         out.append(coeff * factorial)

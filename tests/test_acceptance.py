@@ -5,17 +5,13 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from btseq.checks import (
-    cross_check,
-    quotient_fraction_audit,
-    von_staudt_clausen,
-    zeta_ratio_check,
-)
+from btseq.checks import cross_check, von_staudt_clausen, zeta_ratio_check
 from btseq.fastfixed import (
     fast_secant_numbers,
     fast_tangent_numbers,
     least_half_block_bits,
     packed_tangent_params,
+    quotient_rounding_distance,
 )
 from btseq.intops import factorial_ratio
 from btseq.recurrences import (
@@ -110,7 +106,7 @@ def test_criterion_03_scaled_tangent_block_bounds():
 
 
 def test_criterion_04_quotient_rounding_budget():
-    worst = max(quotient_fraction_audit(n) for n in range(2, 101))
+    worst = max(Fraction(*quotient_rounding_distance(n)) for n in range(2, 101))
     record(
         4,
         f"packed-quotient distance < 0.12 for n = 2..100 (worst {float(worst):.4f})",

@@ -83,6 +83,17 @@ class TestCrossCheck:
         assert len(failed) == 1
         assert "lengths differ" in failed[0].witness
 
+    def test_mismatch_past_digit_limit_gives_bit_lengths(self):
+        # 10**5000 has too many digits for str(); the witness must not need it
+        result = checks._sequences_equal("x", [1, 10**5000], [1, 10**5000 + 1])
+        assert not result.passed
+        assert result.witness == "position 1: a 16610-bit value != a 16610-bit value"
+
+    def test_fraction_mismatch_gives_numerator_and_denominator_bits(self):
+        big = Fraction(10**5000 + 1, 7)
+        result = checks._sequences_equal("x", [Fraction(1, 6)], [big])
+        assert result.witness == "position 0: a 1/3-bit value != a 16610/3-bit value"
+
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             cross_check(0)
@@ -102,6 +113,26 @@ class TestVonStaudtClausen:
     def test_wrong_value_raises(self):
         with pytest.raises(IntegrityError):
             von_staudt_clausen(4, Fraction(1, 6))
+
+    def test_non_integer_past_digit_limit_gives_bit_lengths(self):
+        with pytest.raises(IntegrityError) as info:
+            von_staudt_clausen(4, Fraction(10**5000 + 1, 7))
+        assert "is a 16615/8-bit non-integer" in str(info.value)
+
+    def test_large_wrong_value_fails_verify(self, capsys, monkeypatch):
+        def skewed(tangent):
+            values = bernoulli_from_tangent(tangent)
+            values[4] = Fraction(10**5000 + 1, 7)
+            return values
+
+        monkeypatch.setattr(checks, "bernoulli_from_tangent", skewed)
+        code = run_cli(["verify", "-n", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert any(
+            line.startswith("FAIL von staudt-clausen denominators  [index 4: ")
+            for line in lines
+        )
 
     def test_rejects_odd_index(self):
         with pytest.raises(ValueError):

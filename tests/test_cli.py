@@ -173,6 +173,13 @@ class TestGoldenFiles:
             (("tangent", "-n", "50"), "tangent_n50.txt"),
             (("secant", "-n", "50"), "secant_n50.txt"),
             (("bernoulli", "-n", "50"), "bernoulli_n50.txt"),
+            # every verify witness comes from exact arithmetic, so the
+            # report is as deterministic as the sequences
+            (("verify", "-n", "40", "--precision", "53"), "verify_n40_p53.txt"),
+            (
+                ("verify", "-n", "40", "--precision", "53", "--format", "json"),
+                "verify_n40_p53.json",
+            ),
         ],
     )
     def test_output_matches_golden(self, capsys, argv, name):
@@ -210,6 +217,20 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
         assert "FAIL" in out
+
+    def test_mismatch_past_digit_limit_exits_two(self, capsys, monkeypatch):
+        def wrong_last(n):
+            values = tangent_numbers(n)[0]
+            values[-1] = 10**5000  # more digits than str() converts by default
+            return values
+
+        monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", wrong_last)
+        code, out, _ = run(capsys, "verify", "-n", "5")
+        assert code == 2
+        assert (
+            "FAIL tangent: in-place vs packed-division"
+            "  [position 4: a 13-bit value != a 16610-bit value]"
+        ) in out.splitlines()
 
 
 class TestUsageErrors:

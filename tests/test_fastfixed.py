@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from btseq.fastfixed import (
-    _scaled_cos,
+    _scaled_series,
     fast_secant_numbers,
     fast_tangent_numbers,
     least_half_block_bits,
     packed_secant_value,
     packed_tangent_params,
-    quotient_fraction_audit,
     quotient_rounding_distance,
 )
 from btseq.recurrences import secant_numbers, tangent_numbers
@@ -95,7 +94,7 @@ class TestFastSecant:
     def test_n2_packed_by_hand(self):
         # cos with the extra term: 24*2**(4p) - 12*2**(2p) + 1 = 6144-192+1
         # = 5953; V = round(24*24*2**(8p)/5953) = round(37748736/5953) = 6341
-        assert _scaled_cos(2, 2, 3) == 5953
+        assert _scaled_series(2, 2, 3, 0) == 5953
         assert packed_secant_value(2) == 6341
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 24])
@@ -127,15 +126,15 @@ class TestFastSecant:
 class TestQuotientAudit:
     def test_n2_exact_distance(self):
         # 36480/372 = 98 + 24/372, so the rounded quotient sits 2/31 away
-        assert quotient_fraction_audit(2) == Fraction(2, 31)
+        assert Fraction(*quotient_rounding_distance(2)) == Fraction(2, 31)
 
     @pytest.mark.parametrize("n", list(range(2, 41)))
     def test_distance_under_budget(self, n):
-        assert quotient_fraction_audit(n) < Fraction(12, 100)
+        assert Fraction(*quotient_rounding_distance(n)) < Fraction(12, 100)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            quotient_fraction_audit(1)
+            Fraction(*quotient_rounding_distance(1))
 
     @pytest.mark.parametrize("n", list(range(2, 41)))
     def test_integer_distance_matches_fraction(self, n):

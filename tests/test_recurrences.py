@@ -100,14 +100,18 @@ class TestTangentNumbers:
         # after inner update (k, j) the row holds p[j+k-2][j-k+1]
         table = tangent_poly_table(2 * 8)
         seen = []
-        tangent_numbers(8, trace=lambda k, j, v: seen.append((k, j, v)))
+        tangent_numbers(
+            8, trace=lambda k, row: seen.extend((k, j, row[j]) for j in range(k, 9))
+        )
         assert seen, "trace callback never fired"
         for k, j, value in seen:
             assert value == table[j + k - 2][j - k + 1]
 
     def test_trace_order_n3(self):
         seen = []
-        tangent_numbers(3, trace=lambda k, j, v: seen.append((k, j, v)))
+        tangent_numbers(
+            3, trace=lambda k, row: seen.extend((k, j, row[j]) for j in range(k, 4))
+        )
         assert seen == [(2, 2, 2), (2, 3, 8), (3, 3, 16)]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 500])
