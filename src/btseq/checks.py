@@ -273,25 +273,25 @@ def fermat_denominator_check(m: int, b: Fraction) -> bool:
     return rest == 1
 
 
-def tangent_tail_audit(n: int, extra_terms: int = 5) -> tuple[Fraction, Fraction]:
+def tangent_tail_audit(n: int, tangent: TangentSeq) -> tuple[Fraction, Fraction]:
     """Exact bounds on the series tail the packed tangent quotient drops.
 
-    Sums the next `extra_terms` terms T_k (2n-1)!/(2k-1)! x**(2(k-n))
-    exactly at x = 2**(-p), then covers everything beyond them with a 3
-    percent allowance: consecutive terms of the tangent series shrink by at
-    least a factor (pi/2)**2 per order, so at x <= 1/4 each tail term is
-    under 0.026 of its predecessor. The packing argument needs the tail
-    inside (0, 1/10).
+    tangent is [T_1..T_m] with m > n; the caller's row sets how many terms
+    are explicit. Sums the terms T_k (2n-1)!/(2k-1)! x**(2(k-n)) for
+    k = n+1..m exactly at x = 2**(-p), then covers everything beyond them
+    with a 3 percent allowance: consecutive terms of the tangent series
+    shrink by at least a factor (pi/2)**2 per order, so at x <= 1/4 each
+    tail term is under 0.026 of its predecessor. The packing argument needs
+    the tail inside (0, 1/10).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if n < 2 or len(tangent) <= n:
+        raise ValueError("need n >= 2 and a row that reaches past T_n")
     p = least_half_block_bits(n)
-    values, _ = tangent_numbers(n + extra_terms)
     explicit = Fraction(0)
     ratio = 1  # (2k-1)!/(2n-1)! for the current k, descending factorials
-    for k in range(n + 1, n + extra_terms + 1):
+    for k in range(n + 1, len(tangent) + 1):
         ratio *= (2 * k - 2) * (2 * k - 1)
-        explicit += Fraction(values[k - 1], ratio << (2 * (k - n) * p))
+        explicit += Fraction(tangent[k - 1], ratio << (2 * (k - n) * p))
     return explicit, explicit * Fraction(103, 100)
 
 
@@ -347,7 +347,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     if n < 1:
         raise ValueError("n must be >= 1")
     checks = list(cross_check(n).checks)
-    tangent, _ = tangent_numbers(n)
+    row, _ = tangent_numbers(n + 5)  # five explicit terms for each tail audit
+    tangent = row[:n]
     bernoulli = bernoulli_from_tangent(tangent)
 
     ok, witness = True, None
@@ -378,10 +379,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     checks.extend(size_checks(tangent, bernoulli).checks)
 
     if n >= 2:
-        top = min(n, 30)
-        ok, witness = True, f"audited n = 2..{top} of 2..{n}"
-        for k in range(2, top + 1):
-            lo, hi = tangent_tail_audit(k)
+        ok, witness = True, f"audited n = 2..{n}"
+        for k in range(2, n + 1):
+            lo, hi = tangent_tail_audit(k, row[: k + 5])
             if not (0 < lo and hi < Fraction(1, 10)):
                 ok, witness = False, f"n={k}"
                 break

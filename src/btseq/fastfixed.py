@@ -5,10 +5,11 @@ x = 2**(-p). The truncated sin and cos series at x scale to exact integers,
 and the rounded quotient V of the scaled tangent carries every
 T'_k = (2n-1)!/(2k-1)! * T_k in its own 2p-bit block, most significant
 first: the values are far enough apart that one division computes all of
-them at once. Reading the blocks off and dividing out the factorial ratios
-recovers T_1..T_n. The secant variant packs S'_k = (2n)!/(2k)! * S_k the
-same way from the scaled reciprocal of cos, with one extra series term
-because the secant quotient is sensitive to the x**(2n) term of cos.
+them at once. The secant variant packs S'_k = (2n)!/(2k)! * S_k the same
+way from the scaled reciprocal of cos, with one extra series term because
+the secant quotient is sensitive to the x**(2n) term of cos. Both families
+unpack through one reader, which divides out the factorial ratios and
+insists the top block is exactly T'_1 = (2n-1)! or S'_0 = (2n)!.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intops import exact_div, extract_blocks, round_nearest_div
+from .intops import IntegrityError, exact_div, round_nearest_div
 from .recurrences import SecantSeq, TangentSeq
 
 
@@ -61,16 +62,22 @@ def _scaled_series(n: int, p: int, terms: int, first: int) -> int:
     return total
 
 
-def _unscale(blocks: list[int], top: int) -> list[int]:
-    """Values from blocks holding top!/m! times them, for m = top, top-2, ...
-    counted from the last block up; every division must be exact."""
+def _read_blocks(packed: int, p: int, top: int) -> list[int]:
+    """Values from a packed quotient whose 2p-bit blocks, counted from the
+    bottom, hold top!/m! times them for m = top, top-2, ..., 3 or 2; every
+    division must be exact. The top block takes every remaining bit and must
+    be exactly top!, since T_1 = S_0 = 1, so a quotient off by a multiple of
+    its unit raises IntegrityError instead of returning a wrong value."""
+    mask = (1 << (2 * p)) - 1
     out = []
     ratio = 1  # top!/m! for the current block's m
-    m = top
-    for block in reversed(blocks):
-        out.append(exact_div(block, ratio))
+    for m in range(top, 1, -2):
+        out.append(exact_div(packed & mask, ratio))
+        packed >>= 2 * p
         ratio *= m * (m - 1)
-        m -= 2
+    if packed != ratio:
+        raise IntegrityError(f"the {packed.bit_length()}-bit top block is not {top}!")
+    out.append(1)
     out.reverse()
     return out
 
@@ -97,8 +104,7 @@ def fast_tangent_numbers(n: int, half_block_bits: int | None = None) -> TangentS
     if n == 1:
         return [1]  # the packed form needs n >= 2, and T_1 is pinned anyway
     params = packed_tangent_params(n, half_block_bits)
-    blocks = extract_blocks(params.packed, 2 * params.half_block_bits, n)
-    return _unscale(blocks, 2 * n - 1)
+    return _read_blocks(params.packed, params.half_block_bits, 2 * n - 1)
 
 
 def packed_secant_value(n: int, half_block_bits: int | None = None) -> int:
@@ -126,11 +132,7 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
     if n <= 1:
         return [1] * (n + 1)  # below the n >= 2 packing regime; pinned values
     p = least_half_block_bits(n) if half_block_bits is None else half_block_bits
-    packed = packed_secant_value(n, p)
-    low_bits = 2 * n * p
-    blocks = [packed >> low_bits]  # S'_0 takes all remaining high bits
-    blocks += extract_blocks(packed & ((1 << low_bits) - 1), 2 * p, n)
-    return _unscale(blocks, 2 * n)
+    return _read_blocks(packed_secant_value(n, p), p, 2 * n)
 
 
 def quotient_rounding_distance(n: int) -> tuple[int, int]:

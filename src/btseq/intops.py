@@ -1,9 +1,9 @@
 """Exact integer primitives shared by every engine.
 
 Values are plain Python ints, so precision is unbounded. These helpers add
-the few operations the engines need beyond the builtin operators: factorial
-ratios without forming full factorials, correctly rounded division, division
-that must come out exact, and a fixed-width bit-block codec.
+correctly rounded division and division that must come out exact, plus
+factorial ratios (the tests' independent oracle for the packed blocks). There
+is no block codec: `fastfixed` reads its packed blocks off itself.
 
 Both divisions go through `_divmod`, which divides large operands by
 Burnikel-Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
@@ -15,7 +15,6 @@ on CPython 3.11 and earlier is schoolbook.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 
 class IntegrityError(ArithmeticError):
@@ -109,27 +108,3 @@ def exact_div(num: int, den: int) -> int:
             f" on a {num.bit_length()}-bit numerator"
         )
     return q
-
-
-def extract_blocks(value: int, width: int, count: int) -> list[int]:
-    """Split value into count blocks of `width` bits, most significant first."""
-    if width <= 0 or count <= 0:
-        raise ValueError("width and count must be positive")
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    if value >> (width * count):
-        raise OverflowError(f"value does not fit in {count} blocks of {width} bits")
-    mask = (1 << width) - 1
-    return [(value >> (width * k)) & mask for k in range(count - 1, -1, -1)]
-
-
-def pack_blocks(blocks: Sequence[int], width: int) -> int:
-    """Inverse of extract_blocks: concatenate fixed-width blocks into one int."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    value = 0
-    for block in blocks:
-        if not 0 <= block < (1 << width):
-            raise OverflowError(f"block {block} does not fit in {width} bits")
-        value = (value << width) | block
-    return value

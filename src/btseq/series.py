@@ -33,6 +33,8 @@ def _convolve(a, b, order: int) -> list[Fraction]:
 
 def check_reciprocal(a: Sequence[Fraction], b: Sequence[Fraction]) -> None:
     """Verify sum_j a_j b_{m-j} = [m == 0] for every m below len(b)."""
+    if not b:
+        raise ValueError("reciprocal must have at least one coefficient")
     product = _convolve(a, b, len(b))
     if product[0] != 1 or any(product[1:]):
         raise IntegrityError("series reciprocal violates its convolution identity")

@@ -237,17 +237,22 @@ class TestFermatDenominator:
 class TestTangentTailAudit:
     def test_bounds_ordered_and_small(self):
         for n in range(2, 31):
-            lo, hi = tangent_tail_audit(n)
+            lo, hi = tangent_tail_audit(n, tangent_numbers(n + 5)[0])
             assert 0 < lo < hi < Fraction(1, 10)
 
     def test_more_terms_only_raise_the_floor(self):
-        lo5, _ = tangent_tail_audit(4)
-        lo9, _ = tangent_tail_audit(4, extra_terms=9)
+        row = tangent_numbers(13)[0]
+        lo5, _ = tangent_tail_audit(4, row[:9])
+        lo9, _ = tangent_tail_audit(4, row)
         assert lo9 > lo5
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            tangent_tail_audit(1)
+            tangent_tail_audit(1, tangent_numbers(6)[0])
+
+    def test_rejects_row_without_tail_terms(self):
+        with pytest.raises(ValueError):
+            tangent_tail_audit(4, tangent_numbers(4)[0])
 
 
 class TestStabilityContrast:
@@ -286,7 +291,26 @@ class TestFullVerification:
         report = full_verification(35)
         tail = [c for c in report.checks if c.name == "packed-quotient tail bound"]
         assert tail[0].passed
-        assert tail[0].witness == "audited n = 2..30 of 2..35"
+        assert tail[0].witness == "audited n = 2..35"
+
+    def test_tail_audit_reaches_past_thirty(self, monkeypatch):
+        # T_36 (293 bits) raised to 393 bits puts the k = 35 tail, whose
+        # first term is T_36 / (70 * 71 * 2**360), far above 1/10; only the
+        # audit reads T_36, so every other family still passes
+        original = checks.tangent_numbers
+
+        def raised_t36(n, *args):
+            values, counters = original(n, *args)
+            if len(values) > 35:
+                values[35] <<= 100
+            return values, counters
+
+        monkeypatch.setattr(checks, "tangent_numbers", raised_t36)
+        report = full_verification(35)
+        failed = [c for c in report.checks if not c.passed]
+        assert [(c.name, c.witness) for c in failed] == [
+            ("packed-quotient tail bound", "n=35")
+        ]
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,15 @@ class TestSequenceCommands:
         assert code == 3
         assert "integrity error" in err
 
+    def test_doubled_top_block_exits_three(self, capsys, double_top_block):
+        # the top block holds 2 * 11!, which the reader must reject instead
+        # of printing T_1 = 2
+        double_top_block(6, 11, 6)
+        code, out, err = run(capsys, "tangent", "-n", "6", "--algorithm", "fast")
+        assert code == 3
+        assert out == ""
+        assert "integrity error" in err
+
     def test_internal_fault_exits_three_not_one(self, capsys, monkeypatch):
         def broken(n):
             raise ValueError("forced for the test")

@@ -16,6 +16,7 @@ from btseq.fastfixed import (
     packed_tangent_params,
     quotient_rounding_distance,
 )
+from btseq.intops import IntegrityError
 from btseq.recurrences import secant_numbers, tangent_numbers
 
 
@@ -163,3 +164,18 @@ class TestRecursiveDivisionSize:
     def test_distance_under_budget(self):
         d, den = quotient_rounding_distance(300)
         assert 100 * d < 12 * den
+
+
+class TestTopBlockGuard:
+    """The top block is known in advance, (2n-1)! or (2n)!, so a quotient
+    that is wrong only there must raise rather than return 2 as T_1 or S_0."""
+
+    def test_doubled_tangent_top_block_raises(self, double_top_block):
+        double_top_block(6, 11, 6)
+        with pytest.raises(IntegrityError):
+            fast_tangent_numbers(6)
+
+    def test_doubled_secant_top_block_raises(self, double_top_block):
+        double_top_block(6, 12, 7)
+        with pytest.raises(IntegrityError):
+            fast_secant_numbers(6)

@@ -14,9 +14,7 @@ from btseq.intops import (
     IntegrityError,
     _divmod,
     exact_div,
-    extract_blocks,
     factorial_ratio,
-    pack_blocks,
     round_nearest_div,
 )
 
@@ -149,28 +147,3 @@ class TestExactDiv:
     def test_remainder_raises(self):
         with pytest.raises(IntegrityError):
             exact_div(85, 7)
-
-
-class TestBlockPacking:
-    def test_examples(self):
-        # 98 = 0b0110_0010 packs the width-4 blocks [6, 2], high block first
-        assert extract_blocks(98, 4, 2) == [6, 2]
-        assert pack_blocks([6, 2], 4) == 98
-        assert extract_blocks(0, 8, 3) == [0, 0, 0]
-
-    @given(
-        st.integers(1, 64),
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-    )
-    def test_round_trip(self, width, blocks):
-        blocks = [b % (1 << width) for b in blocks]
-        packed = pack_blocks(blocks, width)
-        assert extract_blocks(packed, width, len(blocks)) == blocks
-
-    def test_value_too_wide_raises(self):
-        with pytest.raises(OverflowError):
-            extract_blocks(1 << 8, 4, 2)
-
-    def test_block_too_wide_raises(self):
-        with pytest.raises(OverflowError):
-            pack_blocks([16], 4)

@@ -100,6 +100,10 @@ class TestCheckReciprocal:
         with pytest.raises(IntegrityError):
             check_reciprocal(a, (Fraction(2),))
 
+    def test_rejects_empty_reciprocal(self):
+        with pytest.raises(ValueError):
+            check_reciprocal((Fraction(1),), ())
+
 
 class TestBernoulliViaSeries:
     def test_small_cases(self):
