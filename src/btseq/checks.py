@@ -10,10 +10,12 @@ every inequality here is decided in exact arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .engines import ENGINES, REACH
 from .fastfixed import least_half_block_bits, quotient_rounding_distance
@@ -171,6 +173,29 @@ def _zeta_pi_bits(n: int) -> int:
     return max(256, 2 * n + (2 * n).bit_length() + 16)
 
 
+def _zeta_enclosures(
+    first: int, values: Iterable[Fraction], pi: tuple[Fraction, Fraction]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (lo_num, lo_den, hi_num, hi_den) with lo_num/lo_den <= rho_k <=
+    hi_num/hi_den, for k = first, first+1, ... and B_2k taken from values.
+
+    (2k)! and the powers of both pi bounds are running products, so each
+    index costs a few multiplications and no gcd; the pairs are unreduced.
+    """
+    (a, c), (e, f) = [(bound.numerator, bound.denominator) for bound in pi]
+    factorial = math.factorial(2 * first)  # (2k)!
+    lo_power, lo_scale = (2 * a) ** (2 * first), c ** (2 * first)  # (2 pi_lo)**(2k)
+    hi_power, hi_scale = (2 * e) ** (2 * first), f ** (2 * first)  # (2 pi_hi)**(2k)
+    for k, b in enumerate(values, start=first):
+        if k > first:
+            factorial *= (2 * k - 1) * (2 * k)
+            lo_power, lo_scale = lo_power * 4 * a * a, lo_scale * c * c
+            hi_power, hi_scale = hi_power * 4 * e * e, hi_scale * f * f
+        b = Fraction(b)
+        num, den = abs(b.numerator), 2 * factorial * b.denominator
+        yield num * lo_power, den * lo_scale, num * hi_power, den * hi_scale
+
+
 def zeta_ratio_check(
     n: int, b: Fraction, pi: tuple[Fraction, Fraction] | None = None
 ) -> tuple[Fraction, Fraction]:
@@ -183,19 +208,22 @@ def zeta_ratio_check(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pi_lo, pi_hi = pi_bounds(_zeta_pi_bits(n)) if pi is None else pi
-    scale = abs(Fraction(b)) / (2 * math.factorial(2 * n))
-    return scale * (2 * pi_lo) ** (2 * n), scale * (2 * pi_hi) ** (2 * n)
+    pi = pi_bounds(_zeta_pi_bits(n)) if pi is None else pi
+    lo_num, lo_den, hi_num, hi_den = next(_zeta_enclosures(n, [b], pi))
+    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
 
 
-def _zeta_miss(n: int, lo: Fraction, hi: Fraction) -> str | None:
-    """None when 1 < lo and hi < 1 + 2**(1-2n); otherwise the end that
-    failed and how far it missed, as a power of two from the exact values."""
-    top = 1 + Fraction(1, 1 << (2 * n - 1))
-    if lo <= 1:
-        side, miss = "lower end is not above 1", 1 - lo
-    elif hi >= top:
-        side, miss = f"upper end is not below 1 + 2**({1 - 2 * n})", hi - top
+def _zeta_miss(
+    n: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int
+) -> str | None:
+    """None when 1 < lo and hi < 1 + 2**(1-2n), decided in integers;
+    otherwise the end that failed and how far it missed, as a power of two
+    from the exact values."""
+    if lo_num <= lo_den:
+        side, miss = "lower end is not above 1", Fraction(lo_den - lo_num, lo_den)
+    elif (hi_num - hi_den) << (2 * n - 1) >= hi_den:
+        side = f"upper end is not below 1 + 2**({1 - 2 * n})"
+        miss = Fraction(hi_num, hi_den) - 1 - Fraction(1, 1 << (2 * n - 1))
     else:
         return None
     if not miss:
@@ -295,6 +323,61 @@ def tangent_tail_audit(n: int, tangent: TangentSeq) -> tuple[Fraction, Fraction]
     return explicit, explicit * Fraction(103, 100)
 
 
+def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
+    """Yield rounding_budget_bound(k) for k = first, first+1, ...
+
+    (2k-1)! and the power of pi_lo are running products. pi is bracketed to
+    32 bits, which loosens (2/pi)**(2k) by less than a factor 1 + k 2**-32
+    and keeps the powers short.
+    """
+    lo, hi = pi_bounds(32)
+    a, g = lo.numerator, lo.denominator.bit_length() - 1  # pi_lo = a / 2**g
+    e, h = hi.numerator, hi.denominator.bit_length() - 1  # pi_hi = e / 2**h
+    factorial = math.factorial(2 * first - 1)  # (2k-1)!
+    pi_power = a ** (2 * first)  # a**(2k)
+    for k in itertools.count(first):
+        if k > first:
+            factorial *= (2 * k - 2) * (2 * k - 1)
+            pi_power *= a * a
+        p = least_half_block_bits(k)
+        # tail: (2k-1)! 2 zeta(6) (2/pi_lo)**(2k) u/(1-u), u = (2x/pi_lo)**2 and
+        # zeta(6) <= pi_hi**6/945, is tail_num * 2**shift / tail_den
+        tail_num = factorial * e**6
+        shift = 2 * k * (g + 1) + 2 * g + 3
+        tail_den = 945 * pi_power * ((a * a << (2 * p)) - (1 << (2 * g + 2))) << (6 * h)
+        # truncation: x**2 (2k+2) / (2k (2k+1) (1 - x**2/2)**2)
+        cut_num = (k + 1) << (2 * p + 2)
+        cut_den = k * (2 * k + 1) * ((1 << (2 * p + 1)) - 1) ** 2
+        yield ((tail_num * cut_den) << shift) + cut_num * tail_den, tail_den * cut_den
+
+
+def rounding_budget_bound(n: int) -> tuple[int, int]:
+    """A closed-form bound on the packed tangent quotient's rounding
+    distance at size n, as (num, den), left unreduced like
+    quotient_rounding_distance.
+
+    With x = 2**(-p) the engine's ratio S/C is (2n-1)! x**(1-2n) s/c for the
+    n-term sin and cos sums s and c, and the true block sum V is
+    (2n-1)! x**(1-2n) (tan x - sum_{j>n} t_j x**(2j-1)), where
+    t_j = T_j/(2j-1)! = 2 (4**j - 1) zeta(2j) / pi**(2j). So |S/C - V| is
+    at most the sum of two terms, both decided from pi_bounds:
+
+    - tail: (2n-1)! sum_{j>n} t_j x**(2(j-n)), below
+      (2n-1)! 2 zeta(6) (2/pi)**(2n) u/(1-u) with u = (2x/pi)**2, since
+      t_j < 2 zeta(6) (2/pi)**(2j) for j >= 3 and zeta(6) = pi**6/945;
+    - truncation: (2n-1)! x**(1-2n) |s/c - tan x|, at most
+      x**2/(2n) (2n+2)/(2n+1) / (1 - x**2/2)**2, from the alternating
+      remainders of both sums and c, cos x >= 1 - x**2/2.
+
+    A bound below 1/2 makes the rounded quotient exactly V, so it bounds
+    the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
+    budget, and shrinks like (4/(pi e))**(2n).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return next(_rounding_budget_bounds(n))
+
+
 def stability_contrast(precision: int = 53) -> VerificationReport:
     """Contrast the unstable and stable fixed-precision Bernoulli routes.
 
@@ -369,8 +452,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
 
     ok, witness = True, None
     pi = pi_bounds(_zeta_pi_bits(n))
-    for k in range(2, n + 1):
-        witness = _zeta_miss(k, *zeta_ratio_check(k, bernoulli[2 * k], pi))
+    for k, ends in enumerate(_zeta_enclosures(2, bernoulli[4::2], pi), start=2):
+        witness = _zeta_miss(k, *ends)
         if witness:
             ok = False
             break
@@ -387,12 +470,21 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
                 break
         checks.append(CheckResult("packed-quotient tail bound", ok, witness))
 
-        ok, witness = True, None
-        for k in range(2, n + 1):
-            d, den = quotient_rounding_distance(k)
-            if 100 * d >= 12 * den:
-                ok, witness = False, f"n={k}"
+        # the closed form covers every k; one exact audit checks the engine
+        ok, least = True, math.inf
+        for k, (num, den) in zip(range(2, n + 1), _rounding_budget_bounds(2)):
+            if 100 * num >= 12 * den:
+                ok, witness = False, f"n={k}: closed form is not below 0.12"
                 break
+            least = min(least, math.log2(12 * den) - math.log2(100 * num))
+        if ok:
+            d, den = quotient_rounding_distance(n)
+            ok = 100 * d < 12 * den
+            witness = (
+                f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
+                if ok
+                else f"n={n}"
+            )
         checks.append(CheckResult("packed-quotient rounding budget", ok, witness))
 
     if precision is not None:

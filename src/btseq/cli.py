@@ -202,6 +202,8 @@ def _dispatch(args) -> tuple[int, Iterable[str]]:
     if args.n < 1:
         raise _UsageError("-n must be >= 1")
     if args.command == "verify":
+        if args.precision is not None and args.precision < 24:
+            raise _UsageError("--precision must be >= 24")
         return _emit_verify(args)
     return _emit_sequence(args)
 

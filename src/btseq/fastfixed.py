@@ -139,12 +139,15 @@ def quotient_rounding_distance(n: int) -> tuple[int, int]:
     """The packed quotient's distance from the unrounded ratio, as (d, den).
 
     Rounding snaps to the true block sum when this distance is below 1/2;
-    the verify budget, covering the dropped series tail plus the cos
-    approximation, is 0.12. The distance is exactly d/den, with
+    the verify budget, covering the dropped series tail plus the sin and
+    cos truncation, is 0.12. verify proves that budget in closed form for
+    every size (checks.rounding_budget_bound) and runs this exact audit at
+    its largest size only, where it checks the engine's quotient itself.
+    The distance is exactly d/den, with
     d = |sin_scaled * 2**shift - packed * cos_scaled| and den = cos_scaled,
-    left unreduced so a budget can be decided by one integer comparison. packed is the engine's own
-    rounded quotient, so the audit adds one multiply-back to the engine's
-    work and no second division.
+    left unreduced so a budget can be decided by one integer comparison.
+    packed is the engine's own rounded quotient, so the audit adds one
+    multiply-back to the engine's work and no second division.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

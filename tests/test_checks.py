@@ -15,6 +15,7 @@ from btseq.checks import (
     fermat_denominator_check,
     full_verification,
     pi_bounds,
+    rounding_budget_bound,
     size_checks,
     stability_contrast,
     tangent_tail_audit,
@@ -22,6 +23,7 @@ from btseq.checks import (
     zeta_ratio_check,
 )
 from btseq.cli import run_cli
+from btseq.fastfixed import quotient_rounding_distance
 from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
 
@@ -154,6 +156,14 @@ class TestZetaRatio:
             if previous is not None:
                 assert hi < previous
             previous = hi
+
+    def test_running_products_match_a_fresh_start(self):
+        values = bernoulli_from_tangent(tangent_numbers(12)[0])
+        pi = pi_bounds()
+        running = checks._zeta_enclosures(2, values[4::2], pi)
+        for n, (lo_num, lo_den, hi_num, hi_den) in enumerate(running, start=2):
+            expected = zeta_ratio_check(n, values[2 * n], pi)
+            assert (Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)) == expected
 
     def test_deep_enclosure_width(self):
         values = bernoulli_from_tangent(tangent_numbers(20)[0])
@@ -318,7 +328,7 @@ class TestFullVerification:
 
     def test_whole_battery_past_128(self):
         # 130 > 128: the pi precision grows past 256 bits, and the rounding
-        # budget is audited at every k up to 130
+        # budget is proved in closed form at every k up to 130
         assert full_verification(130).all_pass
 
 
@@ -334,4 +344,60 @@ class TestRoundingBudget:
         code = run_cli(["verify", "-n", "5"])
         out = capsys.readouterr().out
         assert code == 2
-        assert "FAIL packed-quotient rounding budget  [n=2]" in out.splitlines()
+        # the closed form still holds; the exact audit runs at k = N only
+        assert "FAIL packed-quotient rounding budget  [n=5]" in out.splitlines()
+
+    def test_closed_form_over_budget_fails_at_its_k(self, capsys, monkeypatch):
+        original = checks._rounding_budget_bounds
+
+        def over_at_three(first):
+            for k, (num, den) in enumerate(original(first), start=first):
+                yield (den, den) if k == 3 else (num, den)
+
+        monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
+        code = run_cli(["verify", "-n", "5"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert (
+            "FAIL packed-quotient rounding budget  [n=3: closed form is not below 0.12]"
+            in out.splitlines()
+        )
+
+    def test_witness_names_the_proof(self):
+        report = full_verification(6)
+        [budget] = [
+            c for c in report.checks if c.name == "packed-quotient rounding budget"
+        ]
+        assert budget.passed
+        assert budget.witness == (
+            "closed form n = 2..6, exact n = 6, least margin 0.74 bits"
+        )
+
+
+class TestRoundingBudgetBound:
+    def test_covers_the_exact_distance(self):
+        # the closed form forces the rounded quotient onto the block sum, so
+        # it must bound the engine's exact distance; at n = 2 that is 2/31
+        # against a bound of 0.0721, and neither term alone reaches it
+        for n in range(2, 151):
+            num, den = rounding_budget_bound(n)
+            d, cos_scaled = quotient_rounding_distance(n)
+            assert num * cos_scaled >= d * den, n
+
+    def test_under_budget_through_a_thousand(self):
+        for n in range(2, 1001):
+            num, den = rounding_budget_bound(n)
+            assert 100 * num < 12 * den, n
+
+    def test_value_at_two(self):
+        bound = Fraction(*rounding_budget_bound(2))
+        assert Fraction(72, 1000) < bound < Fraction(73, 1000)
+
+    def test_running_products_match_a_fresh_start(self):
+        fresh = [rounding_budget_bound(n) for n in range(2, 12)]
+        running = checks._rounding_budget_bounds(2)
+        assert [next(running) for _ in fresh] == fresh
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            rounding_budget_bound(1)

@@ -263,6 +263,12 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in err
 
+    def test_verify_rejects_thin_precision_before_any_check(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "5", "--precision", "10")
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert out == ""
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
