@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,7 @@ from .recurrences import OpCounters
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmarked run: best wall time over the repeats plus op counts.
+    """One benchmarked run: best wall time over REPEATS runs plus op counts.
 
     counters is None for engines that are not built from counted loops.
     peak_value_bits is the bit length of the largest numerator or
@@ -39,6 +40,8 @@ def _peak_bits(values) -> int:
     return peak
 
 
+REPEATS = 3  # runs per record; the best wall time is kept
+
 # Each engine is timed on the first sequence it produces in the table, out
 # to the reach of n tangent numbers (B_0..B_2n for a Bernoulli engine), so
 # every record at a given n carries the information content of T_1..T_n
@@ -48,11 +51,9 @@ for _sequence, _name in ENGINES:
 
 
 def bench_suite(
-    n_values: Iterable[int],
-    algorithms: Sequence[str] | None = None,
-    repeats: int = 3,
+    n_values: Iterable[int], algorithms: Sequence[str] | None = None
 ) -> list[BenchRecord]:
-    """Best-of-`repeats` wall time and counters for each algorithm and size."""
+    """Best-of-REPEATS wall time and counters for each algorithm and size."""
     names = list(ALGORITHMS) if algorithms is None else list(algorithms)
     for name in names:
         if name not in ALGORITHMS:
@@ -63,14 +64,11 @@ def bench_suite(
             raise ValueError("benchmark sizes must be >= 2")
         for name in names:
             sequence = ALGORITHMS[name]
-            best = None
-            values: list = []
-            counters = None
-            for _ in range(max(1, repeats)):
+            best = math.inf
+            for _ in range(REPEATS):
                 start = time.perf_counter()
                 values, counters = ENGINES[sequence, name].produce(REACH[sequence] * n)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
+                best = min(best, time.perf_counter() - start)
             records.append(BenchRecord(name, n, best, counters, _peak_bits(values)))
     return records
 

@@ -4,8 +4,8 @@ Every engine family is compared pairwise on the same inputs. Bernoulli
 denominators are pinned exactly by the Von Staudt-Clausen theorem and by the
 divisibility of their odd prime factors into 2**m - 1. Sizes and ratios are
 held against their analytic bounds, and the fixed-precision recurrences are
-contrasted with exact values. Pi enters only as a pair of dyadic bounds, so
-every inequality here is decided in exact arithmetic.
+contrasted with exact values. Pi enters only as two integers over one power
+of two, so every inequality here is decided in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def pi_bounds(bits: int = 256) -> tuple[Fraction, Fraction]:
-    """Dyadic lo < pi < hi with hi - lo below 2**-bits.
+def pi_bounds(bits: int = 256) -> tuple[int, int, int]:
+    """Integers (lo, hi, shift) with lo / 2**shift < pi < hi / 2**shift and
+    (hi - lo) / 2**shift below 2**-bits; shift is bits + 8.
 
     Machin's identity pi = 16 atan(1/5) - 4 atan(1/239). Each arctangent
     series alternates with strictly shrinking terms, so the partial sum and
     the first omitted term bracket the true value. The two brackets leave
-    a width under 20 grid steps of 2**-(bits+8); rounding each end outward
+    a width under 20 grid steps of 2**-shift; rounding each end outward
     onto that grid adds at most two more and keeps both bounds short
-    (about bits + 10 numerator bits over a power of two), which is what
-    makes raising them to the 2n-th power cheap.
+    (about bits + 10 bits), so a caller raises them to the 2n-th power in
+    integers and folds the grid into one shift.
     """
     grid = bits + 8
     threshold = Fraction(1, 1 << grid)
@@ -82,7 +83,7 @@ def pi_bounds(bits: int = 256) -> tuple[Fraction, Fraction]:
     lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
     lo_steps = (lo.numerator << grid) // lo.denominator  # floor
     hi_steps = -((-hi.numerator << grid) // hi.denominator)  # ceiling
-    return Fraction(lo_steps, 1 << grid), Fraction(hi_steps, 1 << grid)
+    return lo_steps, hi_steps, grid
 
 
 @lru_cache(maxsize=None)
@@ -174,56 +175,50 @@ def _zeta_pi_bits(n: int) -> int:
 
 
 def _zeta_enclosures(
-    first: int, values: Iterable[Fraction], pi: tuple[Fraction, Fraction]
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (lo_num, lo_den, hi_num, hi_den) with lo_num/lo_den <= rho_k <=
-    hi_num/hi_den, for k = first, first+1, ... and B_2k taken from values.
+    first: int, values: Iterable[Fraction], pi: tuple[int, int, int]
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (lo_num, hi_num, den) with lo_num/den <= rho_k <= hi_num/den,
+    for k = first, first+1, ... and B_2k taken from values.
 
-    (2k)! and the powers of both pi bounds are running products, so each
-    index costs a few multiplications and no gcd; the pairs are unreduced.
+    pi is a pi_bounds triple (lo, hi, shift). (2k)! and the powers of 2 lo
+    and 2 hi are running products and the grid is one shift of den, so each
+    index costs a few multiplications and no gcd.
     """
-    (a, c), (e, f) = [(bound.numerator, bound.denominator) for bound in pi]
+    lo, hi, shift = pi
     factorial = math.factorial(2 * first)  # (2k)!
-    lo_power, lo_scale = (2 * a) ** (2 * first), c ** (2 * first)  # (2 pi_lo)**(2k)
-    hi_power, hi_scale = (2 * e) ** (2 * first), f ** (2 * first)  # (2 pi_hi)**(2k)
+    lo_power, hi_power = (2 * lo) ** (2 * first), (2 * hi) ** (2 * first)
     for k, b in enumerate(values, start=first):
         if k > first:
             factorial *= (2 * k - 1) * (2 * k)
-            lo_power, lo_scale = lo_power * 4 * a * a, lo_scale * c * c
-            hi_power, hi_scale = hi_power * 4 * e * e, hi_scale * f * f
+            lo_power, hi_power = lo_power * 4 * lo * lo, hi_power * 4 * hi * hi
         b = Fraction(b)
-        num, den = abs(b.numerator), 2 * factorial * b.denominator
-        yield num * lo_power, den * lo_scale, num * hi_power, den * hi_scale
+        num = abs(b.numerator)
+        den = 2 * factorial * b.denominator << (2 * k * shift)
+        yield num * lo_power, num * hi_power, den
 
 
-def zeta_ratio_check(
-    n: int, b: Fraction, pi: tuple[Fraction, Fraction] | None = None
-) -> tuple[Fraction, Fraction]:
+def zeta_ratio_check(n: int, b: Fraction) -> tuple[Fraction, Fraction]:
     """Enclose rho = |B_2n| (2 pi)**(2n) / (2 (2n)!) between exact rationals.
 
     rho equals the zeta value at 2n, so for n >= 2 it must lie strictly
-    inside (1, 1 + 2**(1-2n)). pi is a pair of rational bounds on pi; the
-    default, pi_bounds at max(256, 2n + lg(2n) + 16) bits, is tight enough
-    to decide that at this n, and the default for a larger n serves as well.
+    inside (1, 1 + 2**(1-2n)). pi_bounds at max(256, 2n + lg(2n) + 16) bits
+    is tight enough to decide that at this n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pi = pi_bounds(_zeta_pi_bits(n)) if pi is None else pi
-    lo_num, lo_den, hi_num, hi_den = next(_zeta_enclosures(n, [b], pi))
-    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    lo_num, hi_num, den = next(_zeta_enclosures(n, [b], pi_bounds(_zeta_pi_bits(n))))
+    return Fraction(lo_num, den), Fraction(hi_num, den)
 
 
-def _zeta_miss(
-    n: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int
-) -> str | None:
+def _zeta_miss(n: int, lo_num: int, hi_num: int, den: int) -> str | None:
     """None when 1 < lo and hi < 1 + 2**(1-2n), decided in integers;
     otherwise the end that failed and how far it missed, as a power of two
     from the exact values."""
-    if lo_num <= lo_den:
-        side, miss = "lower end is not above 1", Fraction(lo_den - lo_num, lo_den)
-    elif (hi_num - hi_den) << (2 * n - 1) >= hi_den:
+    if lo_num <= den:
+        side, miss = "lower end is not above 1", Fraction(den - lo_num, den)
+    elif (hi_num - den) << (2 * n - 1) >= den:
         side = f"upper end is not below 1 + 2**({1 - 2 * n})"
-        miss = Fraction(hi_num, hi_den) - 1 - Fraction(1, 1 << (2 * n - 1))
+        miss = Fraction(hi_num, den) - 1 - Fraction(1, 1 << (2 * n - 1))
     else:
         return None
     if not miss:
@@ -235,8 +230,8 @@ def _zeta_miss(
 def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationReport:
     """Growth-rate checks tying tangent sizes to Bernoulli sizes.
 
-    (a) T_k / (2k-1)! <= (2/pi)**(2k-2) for every k, decided with the
-        rational upper bound on pi (which can only make the check harder);
+    (a) T_k / (2k-1)! <= (2/pi)**(2k-2) for every k, decided in integers with
+        the upper bound on pi (which can only make the check harder);
     (b) the bit-length gap between T_n and the integer part of B_2n is 4n
         up to a 16 lg n allowance (needs n >= 2 for the allowance to bite);
     (c) bit-length(T_n) stays within 20 percent of 2n lg n once n >= 50.
@@ -245,17 +240,15 @@ def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationRep
     if n < 1 or len(bernoulli) != 2 * n + 1:
         raise ValueError("expected [T_1..T_n] with matching [B_0..B_2n]")
     checks = []
-    _, pi_hi = pi_bounds()
+    _, hi, shift = pi_bounds()
     ok, witness = True, None
-    pi_power = Fraction(1)  # pi_hi**(2k-2)
+    hi_power = 1  # hi**(2k-2)
     factorial = 1  # (2k-1)!
-    four_power = 1  # 4**(k-1)
     for k in range(1, n + 1):
         if k > 1:
-            pi_power *= pi_hi * pi_hi
+            hi_power *= hi * hi
             factorial *= (2 * k - 2) * (2 * k - 1)
-            four_power *= 4
-        if tangent[k - 1] * pi_power > factorial * four_power:
+        if tangent[k - 1] * hi_power > factorial << ((2 * k - 2) * (shift + 1)):
             ok, witness = False, f"k={k}: T_k exceeds (2k-1)! (2/pi)**(2k-2)"
             break
     checks.append(CheckResult("tangent coefficient bound", ok, witness))
@@ -330,9 +323,7 @@ def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
     32 bits, which loosens (2/pi)**(2k) by less than a factor 1 + k 2**-32
     and keeps the powers short.
     """
-    lo, hi = pi_bounds(32)
-    a, g = lo.numerator, lo.denominator.bit_length() - 1  # pi_lo = a / 2**g
-    e, h = hi.numerator, hi.denominator.bit_length() - 1  # pi_hi = e / 2**h
+    a, e, g = pi_bounds(32)  # pi_lo = a / 2**g, pi_hi = e / 2**g
     factorial = math.factorial(2 * first - 1)  # (2k-1)!
     pi_power = a ** (2 * first)  # a**(2k)
     for k in itertools.count(first):
@@ -344,7 +335,7 @@ def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
         # zeta(6) <= pi_hi**6/945, is tail_num * 2**shift / tail_den
         tail_num = factorial * e**6
         shift = 2 * k * (g + 1) + 2 * g + 3
-        tail_den = 945 * pi_power * ((a * a << (2 * p)) - (1 << (2 * g + 2))) << (6 * h)
+        tail_den = 945 * pi_power * ((a * a << (2 * p)) - (1 << (2 * g + 2))) << (6 * g)
         # truncation: x**2 (2k+2) / (2k (2k+1) (1 - x**2/2)**2)
         cut_num = (k + 1) << (2 * p + 2)
         cut_den = k * (2 * k + 1) * ((1 << (2 * p + 1)) - 1) ** 2

@@ -221,7 +221,13 @@ def run_cli(argv=None) -> int:
         code, chunks = _dispatch(args)
         with _any_int_size():  # the lines are formatted as they are written
             if args.output:
-                with open(args.output, "w") as out:
+                try:
+                    out = open(args.output, "w")
+                except OSError as exc:
+                    raise _UsageError(
+                        f"cannot write --output {args.output}: {exc.strerror}"
+                    ) from None
+                with out:
                     out.writelines(chunks)
             else:
                 sys.stdout.writelines(chunks)

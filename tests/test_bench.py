@@ -12,14 +12,14 @@ from btseq.cli import run_cli
 
 class TestBenchSuite:
     def test_every_algorithm_reports(self):
-        records = bench_suite([5], repeats=1)
+        records = bench_suite([5])
         assert [r.algorithm for r in records] == list(ALGORITHMS)
         assert all(r.n == 5 for r in records)
         assert all(r.wall_time >= 0 for r in records)
         assert all(r.peak_value_bits > 0 for r in records)
 
     def test_counted_engines_carry_counters(self):
-        by_name = {r.algorithm: r for r in bench_suite([5], repeats=1)}
+        by_name = {r.algorithm: r for r in bench_suite([5])}
         assert by_name["recurrence"].counters.loop_trips == 10
         assert by_name["recurrence"].peak_value_bits == 13  # T_5 = 7936
         assert by_name["atkinson"].counters.additions == 55  # 2n**2 + n
@@ -28,8 +28,8 @@ class TestBenchSuite:
         assert by_name["series"].counters is None
 
     def test_counters_deterministic_across_runs(self):
-        first = bench_suite([8, 12], ["recurrence", "atkinson"], repeats=1)
-        second = bench_suite([8, 12], ["recurrence", "atkinson"], repeats=2)
+        first = bench_suite([8, 12], ["recurrence", "atkinson"])
+        second = bench_suite([8, 12], ["recurrence", "atkinson"])
         for a, b in zip(first, second):
             assert (a.algorithm, a.n) == (b.algorithm, b.n)
             assert a.counters == b.counters
@@ -37,14 +37,14 @@ class TestBenchSuite:
 
     def test_addition_ratio_widens(self):
         by_name = {
-            r.algorithm: r for r in bench_suite([40], ["recurrence", "atkinson"], 1)
+            r.algorithm: r for r in bench_suite([40], ["recurrence", "atkinson"])
         }
         adds = by_name["atkinson"].counters.additions
         trips = by_name["recurrence"].counters.loop_trips
         assert adds / trips >= 3
 
     def test_requested_subset_and_order(self):
-        records = bench_suite([4], ["series", "fast"], repeats=1)
+        records = bench_suite([4], ["series", "fast"])
         assert [r.algorithm for r in records] == ["series", "fast"]
 
     def test_rejects_small_sizes(self):

@@ -38,27 +38,31 @@ PI_100 = Fraction(
 )
 
 
+def pi_fractions(bits=256):
+    lo, hi, shift = pi_bounds(bits)
+    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
+
+
 class TestPiBounds:
     def test_encloses_reference_digits(self):
-        lo, hi = pi_bounds()
+        lo, hi = pi_fractions()
         assert lo < hi
         assert abs(lo - PI_REFERENCE) < Fraction(1, 10**62)
         assert abs(hi - PI_REFERENCE) < Fraction(1, 10**62)
 
     def test_default_width(self):
-        lo, hi = pi_bounds()
+        lo, hi = pi_fractions()
         assert hi - lo < Fraction(1, 2**256)
 
     def test_narrower_request(self):
-        lo, hi = pi_bounds(64)
+        lo, hi = pi_fractions(64)
         assert lo < PI_REFERENCE < hi
         assert hi - lo < Fraction(1, 2**64)
 
-    @pytest.mark.parametrize("bits", [64, 256, 283])
+    @pytest.mark.parametrize("bits", [32, 64, 256, 283])
     def test_dyadic_enclosure(self, bits):
-        lo, hi = pi_bounds(bits)
-        for bound in (lo, hi):
-            assert bound.denominator & (bound.denominator - 1) == 0
+        assert pi_bounds(bits)[2] == bits + 8
+        lo, hi = pi_fractions(bits)
         assert lo < PI_100 and PI_100 + Fraction(1, 10**100) < hi
         assert hi - lo < Fraction(1, 2**bits)
 
@@ -159,11 +163,11 @@ class TestZetaRatio:
 
     def test_running_products_match_a_fresh_start(self):
         values = bernoulli_from_tangent(tangent_numbers(12)[0])
-        pi = pi_bounds()
-        running = checks._zeta_enclosures(2, values[4::2], pi)
-        for n, (lo_num, lo_den, hi_num, hi_den) in enumerate(running, start=2):
-            expected = zeta_ratio_check(n, values[2 * n], pi)
-            assert (Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)) == expected
+        # zeta_ratio_check brackets pi to the default 256 bits up to n = 12
+        running = checks._zeta_enclosures(2, values[4::2], pi_bounds())
+        for n, (lo_num, hi_num, den) in enumerate(running, start=2):
+            expected = zeta_ratio_check(n, values[2 * n])
+            assert (Fraction(lo_num, den), Fraction(hi_num, den)) == expected
 
     def test_deep_enclosure_width(self):
         values = bernoulli_from_tangent(tangent_numbers(20)[0])
@@ -218,8 +222,26 @@ class TestSizeChecks:
 
     def test_coefficient_bound_spot_value(self):
         # the k = 4 instance of the bound: 272 * pi**6 <= 7! * 4**3
-        _, pi_hi = pi_bounds()
+        _, pi_hi = pi_fractions()
         assert 272 * pi_hi**6 <= 5040 * 64
+
+    def test_true_values_pass_the_coefficient_bound(self):
+        tangent, _ = tangent_numbers(300)
+        report = size_checks(tangent, bernoulli_from_tangent(tangent))
+        assert report.checks[0].name == "tangent coefficient bound"
+        assert report.checks[0].passed
+
+    def test_doubled_value_fails_the_coefficient_bound(self):
+        # T_k / (2k-1)! sits near 8/pi**2 = 0.81 of (2/pi)**(2k-2), so a
+        # doubled T_150 breaks the bound at its own index
+        tangent = tangent_numbers(150)[0]
+        tangent[-1] *= 2
+        report = size_checks(tangent, bernoulli_from_tangent(tangent))
+        assert report.checks[0] == checks.CheckResult(
+            "tangent coefficient bound",
+            False,
+            "k=150: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
+        )
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):

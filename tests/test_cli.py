@@ -94,6 +94,16 @@ class TestSequenceCommands:
         assert out == ""
         assert target.read_text() == "1 1\n2 2\n3 16\n4 272\n5 7936\n"
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "tangent.txt"
+        code, out, err = run(capsys, "tangent", "-n", "2", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"usage error: cannot write --output {target}: No such file or directory\n"
+        )
+        assert "Traceback" not in err
+
     def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", lambda n: [1] * n)
         code, out, _ = run(capsys, "tangent", "-n", "6", "--algorithm", "all")
