@@ -180,9 +180,12 @@ def _zeta_enclosures(
     """Yield (lo_num, hi_num, den) with lo_num/den <= rho_k <= hi_num/den,
     for k = first, first+1, ... and B_2k taken from values.
 
-    pi is a pi_bounds triple (lo, hi, shift). (2k)! and the powers of 2 lo
-    and 2 hi are running products and the grid is one shift of den, so each
-    index costs a few multiplications and no gcd.
+    rho_k = |B_2k| (2 pi)**(2k) / (2 (2k)!) equals the zeta value at 2k, so
+    for k >= 2 it lies strictly inside (1, 1 + 2**(1-2k)); pi_bounds at
+    _zeta_pi_bits(k) bits is tight enough to decide that. pi is a pi_bounds
+    triple (lo, hi, shift). (2k)! and the powers of 2 lo and 2 hi are
+    running products and the grid is one shift of den, so each index costs
+    a few multiplications and no gcd.
     """
     lo, hi, shift = pi
     factorial = math.factorial(2 * first)  # (2k)!
@@ -195,19 +198,6 @@ def _zeta_enclosures(
         num = abs(b.numerator)
         den = 2 * factorial * b.denominator << (2 * k * shift)
         yield num * lo_power, num * hi_power, den
-
-
-def zeta_ratio_check(n: int, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclose rho = |B_2n| (2 pi)**(2n) / (2 (2n)!) between exact rationals.
-
-    rho equals the zeta value at 2n, so for n >= 2 it must lie strictly
-    inside (1, 1 + 2**(1-2n)). pi_bounds at max(256, 2n + lg(2n) + 16) bits
-    is tight enough to decide that at this n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo_num, hi_num, den = next(_zeta_enclosures(n, [b], pi_bounds(_zeta_pi_bits(n))))
-    return Fraction(lo_num, den), Fraction(hi_num, den)
 
 
 def _zeta_miss(n: int, lo_num: int, hi_num: int, den: int) -> str | None:
@@ -227,7 +217,16 @@ def _zeta_miss(n: int, lo_num: int, hi_num: int, den: int) -> str | None:
     return f"index {2 * n}: {side}, missed by 2**({bits:.2f})"
 
 
-def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationReport:
+def _first_miss(name: str, misses: Iterable, passed: str | None = None) -> CheckResult:
+    """Check `name`, failed by the first witness that misses yields (None for
+    an index that holds); read lazily, so a family stops at its first miss."""
+    witness = next(filter(None, misses), None)
+    return CheckResult(name, witness is None, witness or passed)
+
+
+def size_checks(
+    tangent: TangentSeq, bernoulli: BernoulliSeq
+) -> tuple[CheckResult, ...]:
     """Growth-rate checks tying tangent sizes to Bernoulli sizes.
 
     (a) T_k / (2k-1)! <= (2/pi)**(2k-2) for every k, decided in integers with
@@ -239,19 +238,19 @@ def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationRep
     n = len(tangent)
     if n < 1 or len(bernoulli) != 2 * n + 1:
         raise ValueError("expected [T_1..T_n] with matching [B_0..B_2n]")
-    checks = []
     _, hi, shift = pi_bounds()
-    ok, witness = True, None
-    hi_power = 1  # hi**(2k-2)
-    factorial = 1  # (2k-1)!
-    for k in range(1, n + 1):
-        if k > 1:
-            hi_power *= hi * hi
-            factorial *= (2 * k - 2) * (2 * k - 1)
-        if tangent[k - 1] * hi_power > factorial << ((2 * k - 2) * (shift + 1)):
-            ok, witness = False, f"k={k}: T_k exceeds (2k-1)! (2/pi)**(2k-2)"
-            break
-    checks.append(CheckResult("tangent coefficient bound", ok, witness))
+
+    def coefficient_misses() -> Iterator[str]:
+        hi_power = 1  # hi**(2k-2)
+        factorial = 1  # (2k-1)!
+        for k in range(1, n + 1):
+            if k > 1:
+                hi_power *= hi * hi
+                factorial *= (2 * k - 2) * (2 * k - 1)
+            if tangent[k - 1] * hi_power > factorial << ((2 * k - 2) * (shift + 1)):
+                yield f"k={k}: T_k exceeds (2k-1)! (2/pi)**(2k-2)"
+
+    checks = [_first_miss("tangent coefficient bound", coefficient_misses())]
     if n >= 2:
         gap = tangent[-1].bit_length() - int(abs(bernoulli[2 * n])).bit_length()
         slack = 16 * math.log2(n)
@@ -271,7 +270,7 @@ def size_checks(tangent: TangentSeq, bernoulli: BernoulliSeq) -> VerificationRep
                 "tangent bit growth rate", ok, None if ok else f"ratio={ratio:.3f}"
             )
         )
-    return VerificationReport(n, tuple(checks))
+    return tuple(checks)
 
 
 def fermat_denominator_check(m: int, b: Fraction) -> bool:
@@ -294,33 +293,58 @@ def fermat_denominator_check(m: int, b: Fraction) -> bool:
     return rest == 1
 
 
-def tangent_tail_audit(n: int, tangent: TangentSeq) -> tuple[Fraction, Fraction]:
-    """Exact bounds on the series tail the packed tangent quotient drops.
+TAIL_TERMS = 5  # explicit terms of each packed-quotient tail
 
-    tangent is [T_1..T_m] with m > n; the caller's row sets how many terms
-    are explicit. Sums the terms T_k (2n-1)!/(2k-1)! x**(2(k-n)) for
-    k = n+1..m exactly at x = 2**(-p), then covers everything beyond them
-    with a 3 percent allowance: consecutive terms of the tangent series
-    shrink by at least a factor (pi/2)**2 per order, so at x <= 1/4 each
-    tail term is under 0.026 of its predecessor. The packing argument needs
-    the tail inside (0, 1/10).
+
+def tangent_tail_audit(tangent: TangentSeq) -> list[bool]:
+    """Whether the series tail the packed tangent quotient drops lies inside
+    (0, 1/10), for each n = 2..N, given the row [T_1..T_(N+5)].
+
+    The tail at n sums T_k (2n-1)!/(2k-1)! x**(2(k-n)) over k > n at
+    x = 2**(-p). Its first TAIL_TERMS terms are summed exactly as num/den:
+    num <- num (2k-2)(2k-1) 4**p + T_k and den <- den (2k-2)(2k-1) 4**p for
+    k = n+1..n+5. Everything beyond them is covered with a 3 percent
+    allowance: consecutive terms of the tangent series shrink by at least a
+    factor (pi/2)**2 per order, so at x <= 1/4 each tail term is under 0.026
+    of its predecessor. So n passes iff 0 < num and 103 num < 10 den.
     """
-    if n < 2 or len(tangent) <= n:
-        raise ValueError("need n >= 2 and a row that reaches past T_n")
-    p = least_half_block_bits(n)
-    explicit = Fraction(0)
-    ratio = 1  # (2k-1)!/(2n-1)! for the current k, descending factorials
-    for k in range(n + 1, len(tangent) + 1):
-        ratio *= (2 * k - 2) * (2 * k - 1)
-        explicit += Fraction(tangent[k - 1], ratio << (2 * (k - n) * p))
-    return explicit, explicit * Fraction(103, 100)
+    if len(tangent) < 2 + TAIL_TERMS:
+        raise ValueError("need a row [T_1..T_(N+5)] with N >= 2")
+    verdicts = []
+    for n in range(2, len(tangent) - TAIL_TERMS + 1):
+        p = least_half_block_bits(n)
+        num, den = 0, 1
+        for k in range(n + 1, n + TAIL_TERMS + 1):
+            step = (2 * k - 2) * (2 * k - 1) << (2 * p)
+            num, den = num * step + tangent[k - 1], den * step
+        verdicts.append(0 < num and 103 * num < 10 * den)
+    return verdicts
 
 
 def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
-    """Yield rounding_budget_bound(k) for k = first, first+1, ...
+    """Yield closed-form bounds on the packed tangent quotient's rounding
+    distance at sizes n = first, first+1, ..., as (num, den), left
+    unreduced like quotient_rounding_distance.
 
-    (2k-1)! and the power of pi_lo are running products. pi is bracketed to
-    32 bits, which loosens (2/pi)**(2k) by less than a factor 1 + k 2**-32
+    With x = 2**(-p) the engine's ratio S/C is (2n-1)! x**(1-2n) s/c for the
+    n-term sin and cos sums s and c, and the true block sum V is
+    (2n-1)! x**(1-2n) (tan x - sum_{j>n} t_j x**(2j-1)), where
+    t_j = T_j/(2j-1)! = 2 (4**j - 1) zeta(2j) / pi**(2j). So |S/C - V| is
+    at most the sum of two terms, both decided from pi_bounds:
+
+    - tail: (2n-1)! sum_{j>n} t_j x**(2(j-n)), below
+      (2n-1)! 2 zeta(6) (2/pi)**(2n) u/(1-u) with u = (2x/pi)**2, since
+      t_j < 2 zeta(6) (2/pi)**(2j) for j >= 3 and zeta(6) = pi**6/945;
+    - truncation: (2n-1)! x**(1-2n) |s/c - tan x|, at most
+      x**2/(2n) (2n+2)/(2n+1) / (1 - x**2/2)**2, from the alternating
+      remainders of both sums and c, cos x >= 1 - x**2/2.
+
+    A bound below 1/2 makes the rounded quotient exactly V, so it bounds
+    the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
+    budget, and shrinks like (4/(pi e))**(2n). first must be at least 2.
+
+    (2n-1)! and the power of pi_lo are running products. pi is bracketed to
+    32 bits, which loosens (2/pi)**(2n) by less than a factor 1 + n 2**-32
     and keeps the powers short.
     """
     a, e, g = pi_bounds(32)  # pi_lo = a / 2**g, pi_hi = e / 2**g
@@ -342,34 +366,7 @@ def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
         yield ((tail_num * cut_den) << shift) + cut_num * tail_den, tail_den * cut_den
 
 
-def rounding_budget_bound(n: int) -> tuple[int, int]:
-    """A closed-form bound on the packed tangent quotient's rounding
-    distance at size n, as (num, den), left unreduced like
-    quotient_rounding_distance.
-
-    With x = 2**(-p) the engine's ratio S/C is (2n-1)! x**(1-2n) s/c for the
-    n-term sin and cos sums s and c, and the true block sum V is
-    (2n-1)! x**(1-2n) (tan x - sum_{j>n} t_j x**(2j-1)), where
-    t_j = T_j/(2j-1)! = 2 (4**j - 1) zeta(2j) / pi**(2j). So |S/C - V| is
-    at most the sum of two terms, both decided from pi_bounds:
-
-    - tail: (2n-1)! sum_{j>n} t_j x**(2(j-n)), below
-      (2n-1)! 2 zeta(6) (2/pi)**(2n) u/(1-u) with u = (2x/pi)**2, since
-      t_j < 2 zeta(6) (2/pi)**(2j) for j >= 3 and zeta(6) = pi**6/945;
-    - truncation: (2n-1)! x**(1-2n) |s/c - tan x|, at most
-      x**2/(2n) (2n+2)/(2n+1) / (1 - x**2/2)**2, from the alternating
-      remainders of both sums and c, cos x >= 1 - x**2/2.
-
-    A bound below 1/2 makes the rounded quotient exactly V, so it bounds
-    the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
-    budget, and shrinks like (4/(pi e))**(2n).
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return next(_rounding_budget_bounds(n))
-
-
-def stability_contrast(precision: int = 53) -> VerificationReport:
+def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     """Contrast the unstable and stable fixed-precision Bernoulli routes.
 
     Thresholds are calibrated for 53-bit arithmetic and scale by powers of
@@ -382,7 +379,7 @@ def stability_contrast(precision: int = 53) -> VerificationReport:
     scale = Fraction(2) ** (53 - precision)
     exact = bernoulli_from_tangent(tangent_numbers(40)[0])  # B_0..B_80
     unstable = bernoulli_float_unstable(60, precision)
-    low_worst = max(unstable[m].relative_error(exact[m]) for m in range(2, 21, 2))
+    low_worst = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))
     checks = [
         CheckResult(
             "unstable recurrence accurate through index 20",
@@ -391,7 +388,7 @@ def stability_contrast(precision: int = 53) -> VerificationReport:
         )
     ]
     if precision <= 56:
-        err_60 = unstable[60].relative_error(exact[60])
+        err_60 = abs(unstable[60] / exact[60] - 1)
         checks.append(
             CheckResult(
                 "unstable recurrence breaks down by index 60",
@@ -405,7 +402,7 @@ def stability_contrast(precision: int = 53) -> VerificationReport:
     for k in range(41):
         if k:
             factorial *= (2 * k - 1) * (2 * k)
-        worst = max(worst, stable[k].relative_error(exact[2 * k] / factorial))
+        worst = max(worst, abs(stable[k] * factorial / exact[2 * k] - 1))
     checks.append(
         CheckResult(
             "scaled recurrence accurate through C_40",
@@ -413,7 +410,7 @@ def stability_contrast(precision: int = 53) -> VerificationReport:
             f"worst relative error {float(worst):.3e}",
         )
     )
-    return VerificationReport(60, tuple(checks))
+    return tuple(checks)
 
 
 def full_verification(n: int, precision: int | None = None) -> VerificationReport:
@@ -421,63 +418,48 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     if n < 1:
         raise ValueError("n must be >= 1")
     checks = list(cross_check(n).checks)
-    row, _ = tangent_numbers(n + 5)  # five explicit terms for each tail audit
+    row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
     tangent = row[:n]
     bernoulli = bernoulli_from_tangent(tangent)
+    evens = range(2, 2 * n + 1, 2)
 
-    ok, witness = True, None
-    for k in range(1, n + 1):
-        try:
-            von_staudt_clausen(2 * k, bernoulli[2 * k])
-        except IntegrityError as exc:
-            ok, witness = False, f"index {2 * k}: {exc}"
-            break
-    checks.append(CheckResult("von staudt-clausen denominators", ok, witness))
+    def staudt() -> Iterator[str]:
+        for m in evens:
+            try:
+                von_staudt_clausen(m, bernoulli[m])
+            except IntegrityError as exc:
+                yield f"index {m}: {exc}"
 
-    ok, witness = True, None
-    for k in range(1, n + 1):
-        if not fermat_denominator_check(2 * k, bernoulli[2 * k]):
-            ok, witness = False, f"index {2 * k}"
-            break
-    checks.append(CheckResult("denominator primes divide 2**m - 1", ok, witness))
-
-    ok, witness = True, None
-    pi = pi_bounds(_zeta_pi_bits(n))
-    for k, ends in enumerate(_zeta_enclosures(2, bernoulli[4::2], pi), start=2):
-        witness = _zeta_miss(k, *ends)
-        if witness:
-            ok = False
-            break
-    checks.append(CheckResult("zeta ratio enclosure", ok, witness))
-
-    checks.extend(size_checks(tangent, bernoulli).checks)
+    checks.append(_first_miss("von staudt-clausen denominators", staudt()))
+    fermat = (
+        f"index {m}" for m in evens if not fermat_denominator_check(m, bernoulli[m])
+    )
+    checks.append(_first_miss("denominator primes divide 2**m - 1", fermat))
+    enclosures = _zeta_enclosures(2, bernoulli[4::2], pi_bounds(_zeta_pi_bits(n)))
+    zeta = (_zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
+    checks.append(_first_miss("zeta ratio enclosure", zeta))
+    checks.extend(size_checks(tangent, bernoulli))
 
     if n >= 2:
-        ok, witness = True, f"audited n = 2..{n}"
-        for k in range(2, n + 1):
-            lo, hi = tangent_tail_audit(k, row[: k + 5])
-            if not (0 < lo and hi < Fraction(1, 10)):
-                ok, witness = False, f"n={k}"
-                break
-        checks.append(CheckResult("packed-quotient tail bound", ok, witness))
+        tail = (f"n={k}" for k, ok in enumerate(tangent_tail_audit(row), 2) if not ok)
+        audited = f"audited n = 2..{n}"
+        checks.append(_first_miss("packed-quotient tail bound", tail, audited))
 
         # the closed form covers every k; one exact audit checks the engine
-        ok, least = True, math.inf
-        for k, (num, den) in zip(range(2, n + 1), _rounding_budget_bounds(2)):
-            if 100 * num >= 12 * den:
-                ok, witness = False, f"n={k}: closed form is not below 0.12"
-                break
-            least = min(least, math.log2(12 * den) - math.log2(100 * num))
-        if ok:
+        bounds = list(itertools.islice(_rounding_budget_bounds(2), n - 1))
+        least = min(math.log2(12 * den) - math.log2(100 * num) for num, den in bounds)
+
+        def budget() -> Iterator[str]:
+            for k, (num, den) in enumerate(bounds, start=2):
+                if 100 * num >= 12 * den:
+                    yield f"n={k}: closed form is not below 0.12"
             d, den = quotient_rounding_distance(n)
-            ok = 100 * d < 12 * den
-            witness = (
-                f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
-                if ok
-                else f"n={n}"
-            )
-        checks.append(CheckResult("packed-quotient rounding budget", ok, witness))
+            if 100 * d >= 12 * den:
+                yield f"n={n}"
+
+        proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
+        checks.append(_first_miss("packed-quotient rounding budget", budget(), proof))
 
     if precision is not None:
-        checks.extend(stability_contrast(precision).checks)
+        checks.extend(stability_contrast(precision))
     return VerificationReport(n, tuple(checks))

@@ -194,18 +194,28 @@ def _emit_bench(args) -> tuple[int, list[str]]:
     return 0, ["\n".join(lines) + "\n"]
 
 
-def _dispatch(args) -> tuple[int, Iterable[str]]:
+def _check_usage(args) -> None:
     if args.command == "bench":
         if min(args.n) < 2:
             raise _UsageError("benchmark sizes must be >= 2")
-        return _emit_bench(args)
-    if args.n < 1:
+    elif args.n < 1:
         raise _UsageError("-n must be >= 1")
-    if args.command == "verify":
-        if args.precision is not None and args.precision < 24:
+    elif args.command == "verify" and args.precision is not None:
+        if args.precision < 24:
             raise _UsageError("--precision must be >= 24")
-        return _emit_verify(args)
-    return _emit_sequence(args)
+
+
+def _open_output(path: str | None):
+    """The output stream, opened before any work runs, as a shell's > does."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --output {path}: {exc.strerror}") from None
+
+
+_EMITTERS = {"bench": _emit_bench, "verify": _emit_verify}
 
 
 def run_cli(argv=None) -> int:
@@ -218,19 +228,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
     try:
-        code, chunks = _dispatch(args)
-        with _any_int_size():  # the lines are formatted as they are written
-            if args.output:
-                try:
-                    out = open(args.output, "w")
-                except OSError as exc:
-                    raise _UsageError(
-                        f"cannot write --output {args.output}: {exc.strerror}"
-                    ) from None
-                with out:
-                    out.writelines(chunks)
-            else:
-                sys.stdout.writelines(chunks)
+        _check_usage(args)
+        with _open_output(args.output) as out:
+            code, chunks = _EMITTERS.get(args.command, _emit_sequence)(args)
+            with _any_int_size():  # the lines are formatted as they are written
+                out.writelines(chunks)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

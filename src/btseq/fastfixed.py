@@ -141,8 +141,8 @@ def quotient_rounding_distance(n: int) -> tuple[int, int]:
     Rounding snaps to the true block sum when this distance is below 1/2;
     the verify budget, covering the dropped series tail plus the sin and
     cos truncation, is 0.12. verify proves that budget in closed form for
-    every size (checks.rounding_budget_bound) and runs this exact audit at
-    its largest size only, where it checks the engine's quotient itself.
+    every size and runs this exact audit at its largest size only, where
+    it checks the engine's quotient itself.
     The distance is exactly d/den, with
     d = |sin_scaled * 2**shift - packed * cos_scaled| and den = cos_scaled,
     left unreduced so a budget can be decided by one integer comparison.

@@ -5,8 +5,10 @@ for tangent numbers, one for secant numbers). The boustrophedon triangle of
 Atkinson produces both integer families with additions only. The
 Akiyama-Tanigawa triangle is the all-rational route to Bernoulli numbers,
 and two fixed-precision recurrences demonstrate the numerically stable and
-unstable ways of reaching the same values in floating point. Engines report
-operation counters so their cost models can be checked against measurement.
+unstable ways of reaching the same values in floating point: each value
+they return is a Fraction that softfloat.round_float produced. Engines
+report operation counters so their cost models can be checked against
+measurement.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .softfloat import SoftFloat
+from .softfloat import round_float
 
 TangentSeq = list[int]      # entry k-1 holds T_k, the k-th tangent number
 SecantSeq = list[int]       # entry k holds S_k, the k-th secant number
@@ -161,7 +164,7 @@ def akiyama_tanigawa_bernoulli(n: int) -> BernoulliSeq:
     return out
 
 
-def bernoulli_float_unstable(n: int, precision: int) -> list[SoftFloat]:
+def bernoulli_float_unstable(n: int, precision: int) -> list[Fraction]:
     """Return [B_0..B_n] from the binomial-sum recurrence at fixed precision.
 
     Solves sum_{j<=k} C(k+1, j) B_j = 0 for B_k the classical way: odd
@@ -173,46 +176,45 @@ def bernoulli_float_unstable(n: int, precision: int) -> list[SoftFloat]:
     4**m * 2**(1-precision) and the output is useful only as a demonstration
     of that blowup. Binomial coefficients are formed exactly and rounded at
     the point of use, isolating the instability to the recurrence itself.
+    Every operand and every result is rounded by round_float.
     """
     if precision < 24:
         raise ValueError("precision must be at least 24 bits")
     if n < 1:
         raise ValueError("n must be >= 1")
-    zero = SoftFloat.from_fraction(0, precision)
-    values = [
-        SoftFloat.from_fraction(1, precision),
-        SoftFloat.from_fraction(Fraction(-1, 2), precision),
-    ]
+    rnd = partial(round_float, precision=precision)
+    values = [Fraction(1), Fraction(-1, 2)]
     for k in range(2, n + 1):
         if k % 2:
             # holding odd entries at exact zero is what drives the growth
-            values.append(zero)
+            values.append(Fraction(0))
             continue
-        acc = values[0] + values[1] * (k + 1)
+        size = rnd(k + 1)
+        acc = rnd(values[0] + rnd(values[1] * size))
         for j in range(2, k, 2):
-            acc = acc + values[j] * math.comb(k + 1, j)
-        values.append(-(acc / (k + 1)))
+            acc = rnd(acc + rnd(values[j] * rnd(math.comb(k + 1, j))))
+        values.append(-rnd(acc / size))
     return values
 
 
-def scaled_bernoulli_stable(n: int, precision: int) -> list[SoftFloat]:
+def scaled_bernoulli_stable(n: int, precision: int) -> list[Fraction]:
     """Return [C_0..C_n] with C_k = B_{2k}/(2k)!, the well-conditioned route.
 
     Solves sum_{j<=k} C_j / ((2k+1-2j)! * 4**(k-j)) = 1/((2k)! * 4**k) for
-    C_k at fixed precision; all terms beyond the first carry one sign, so
-    errors grow only quadratically with k.
+    C_k at fixed precision, every operand and result rounded by round_float;
+    all terms beyond the first carry one sign, so errors grow only
+    quadratically with k.
     """
     if precision < 24:
         raise ValueError("precision must be at least 24 bits")
     if n < 0:
         raise ValueError("n must be >= 0")
-    values: list[SoftFloat] = []
+    rnd = partial(round_float, precision=precision)
+    values: list[Fraction] = []
     for k in range(n + 1):
-        acc = SoftFloat.from_fraction(
-            Fraction(1, math.factorial(2 * k) * 4**k), precision
-        )
+        acc = rnd(Fraction(1, math.factorial(2 * k) * 4**k))
         for j in range(k):
             den = math.factorial(2 * k + 1 - 2 * j) * 4 ** (k - j)
-            acc = acc - values[j] / den
+            acc = rnd(acc - rnd(values[j] / rnd(den)))
         values.append(acc)  # the j = k coefficient is 1/(1! * 4**0) = 1
     return values

@@ -1,97 +1,36 @@
-"""Binary floating point with a caller-chosen significand width.
+"""Rounding to binary floating point with a caller-chosen significand width.
 
-A SoftFloat is sign * significand * 2**exponent with the significand held to
-exactly `precision` bits. Every operation forms the exact rational result and
-rounds it once, round half to even, which matches what guard/round/sticky
-hardware would produce. Runs are therefore bit-reproducible at any precision,
-and at 53 bits they agree with the platform double operations.
+round_float maps an exact rational to the nearest value sign * q * 2**e with
+q held to `precision` bits, round half to even: what guard/round/sticky
+hardware produces. A fixed-precision routine rounds every operand and every
+exact result with it, so runs are bit-reproducible at any precision, and at
+53 bits each operation agrees with the platform double.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _divmod_shift(num: int, den: int, shift: int) -> tuple[int, int, int]:
-    """divmod(num * 2**-shift, den); returns (q, r, effective denominator)."""
-    if shift <= 0:
-        return *divmod(num << -shift, den), den
-    scaled = den << shift
-    return *divmod(num, scaled), scaled
-
-
-@dataclass(frozen=True)
-class SoftFloat:
-    sign: int          # -1, 0, or +1
-    significand: int   # 0 only for zero, otherwise exactly `precision` bits
-    exponent: int      # value = sign * significand * 2**exponent
-    precision: int
-
-    @classmethod
-    def from_fraction(cls, value, precision: int) -> "SoftFloat":
-        """Round an exact rational (or int) to the nearest representable value."""
-        if precision < 1:
-            raise ValueError("precision must be positive")
-        value = Fraction(value)
-        if value == 0:
-            return cls(0, 0, 0, precision)
-        sign = 1 if value > 0 else -1
-        num = abs(value.numerator)
-        den = value.denominator
-        shift = num.bit_length() - den.bit_length() - precision
-        q, r, d = _divmod_shift(num, den, shift)
-        while q.bit_length() != precision:
-            shift += q.bit_length() - precision
-            q, r, d = _divmod_shift(num, den, shift)
-        if 2 * r > d or (2 * r == d and q & 1):
-            q += 1
-            if q.bit_length() > precision:  # rounded up to the next binade
-                q >>= 1
-                shift += 1
-        return cls(sign, q, shift, precision)
-
-    def to_fraction(self) -> Fraction:
-        signed = self.sign * self.significand
-        if self.exponent >= 0:
-            return Fraction(signed << self.exponent)
-        return Fraction(signed, 1 << -self.exponent)
-
-    def _coerce(self, other) -> "SoftFloat":
-        if isinstance(other, SoftFloat):
-            if other.precision != self.precision:
-                raise ValueError("operands carry different precisions")
-            return other
-        return SoftFloat.from_fraction(other, self.precision)
-
-    def __add__(self, other) -> "SoftFloat":
-        other = self._coerce(other)
-        return SoftFloat.from_fraction(self.to_fraction() + other.to_fraction(), self.precision)
-
-    def __sub__(self, other) -> "SoftFloat":
-        other = self._coerce(other)
-        return SoftFloat.from_fraction(self.to_fraction() - other.to_fraction(), self.precision)
-
-    def __mul__(self, other) -> "SoftFloat":
-        other = self._coerce(other)
-        return SoftFloat.from_fraction(self.to_fraction() * other.to_fraction(), self.precision)
-
-    def __truediv__(self, other) -> "SoftFloat":
-        other = self._coerce(other)
-        return SoftFloat.from_fraction(self.to_fraction() / other.to_fraction(), self.precision)
-
-    def __neg__(self) -> "SoftFloat":
-        return SoftFloat(-self.sign, self.significand, self.exponent, self.precision)
-
-    def __abs__(self) -> "SoftFloat":
-        return SoftFloat(abs(self.sign), self.significand, self.exponent, self.precision)
-
-    def __float__(self) -> float:
-        return float(self.to_fraction())
-
-    def relative_error(self, exact) -> Fraction:
-        """|self - exact| / |exact| as an exact Fraction; exact must be nonzero."""
-        exact = Fraction(exact)
-        if exact == 0:
-            raise ValueError("relative error against zero is undefined")
-        return abs(self.to_fraction() - exact) / abs(exact)
+def round_float(value, precision: int) -> Fraction:
+    """The float nearest to the rational value with a precision-bit
+    significand, ties to even, as an exact Fraction."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    value = Fraction(value)
+    num, den = abs(value.numerator), value.denominator
+    # scale by 2**-shift so the quotient num // den has precision or
+    # precision + 1 bits, then by one more halving if it has the extra bit
+    shift = num.bit_length() - den.bit_length() - precision
+    if shift < 0:
+        num <<= -shift
+    else:
+        den <<= shift
+    if num >= den << precision:
+        den <<= 1
+        shift += 1
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    rounded = Fraction(q << shift) if shift >= 0 else Fraction(q, 1 << -shift)
+    return -rounded if value < 0 else rounded

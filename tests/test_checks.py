@@ -15,12 +15,10 @@ from btseq.checks import (
     fermat_denominator_check,
     full_verification,
     pi_bounds,
-    rounding_budget_bound,
     size_checks,
     stability_contrast,
     tangent_tail_audit,
     von_staudt_clausen,
-    zeta_ratio_check,
 )
 from btseq.cli import run_cli
 from btseq.fastfixed import quotient_rounding_distance
@@ -41,6 +39,31 @@ PI_100 = Fraction(
 def pi_fractions(bits=256):
     lo, hi, shift = pi_bounds(bits)
     return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
+
+
+def zeta_enclosure(n, b):
+    """The zeta family's bracket on |B_2n| (2 pi)**(2n) / (2 (2n)!), started
+    fresh at index 2n with the pi precision that verify uses at size n."""
+    pi = pi_bounds(checks._zeta_pi_bits(n))
+    lo_num, hi_num, den = next(checks._zeta_enclosures(n, [b], pi))
+    return Fraction(lo_num, den), Fraction(hi_num, den)
+
+
+def rounding_budget_bound(n):
+    """The closed-form rounding bound at size n, from a generator started there."""
+    return next(checks._rounding_budget_bounds(n))
+
+
+def tail_oracle(n, tangent):
+    """Whether the tail audit at n passes, by the exact Fraction sum over
+    T_(n+1)..T_(n+5) with its 3 percent allowance."""
+    p = fastfixed.least_half_block_bits(n)
+    explicit = Fraction(0)
+    ratio = 1  # (2k-1)!/(2n-1)!
+    for k in range(n + 1, n + 6):
+        ratio *= (2 * k - 2) * (2 * k - 1)
+        explicit += Fraction(tangent[k - 1], ratio << (2 * (k - n) * p))
+    return 0 < explicit and explicit * Fraction(103, 100) < Fraction(1, 10)
 
 
 class TestPiBounds:
@@ -147,7 +170,7 @@ class TestVonStaudtClausen:
 
 class TestZetaRatio:
     def test_zeta_two(self):
-        lo, hi = zeta_ratio_check(1, Fraction(1, 6))
+        lo, hi = zeta_enclosure(1, Fraction(1, 6))
         assert lo < hi
         assert float(lo) == float(hi) == 1.6449340668482264  # pi**2 / 6
 
@@ -155,28 +178,24 @@ class TestZetaRatio:
         values = bernoulli_from_tangent(tangent_numbers(25)[0])
         previous = None
         for n in range(2, 26):
-            lo, hi = zeta_ratio_check(n, values[2 * n])
+            lo, hi = zeta_enclosure(n, values[2 * n])
             assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
             if previous is not None:
                 assert hi < previous
             previous = hi
 
     def test_running_products_match_a_fresh_start(self):
+        # a generator started at n agrees with one started at 2
         values = bernoulli_from_tangent(tangent_numbers(12)[0])
-        # zeta_ratio_check brackets pi to the default 256 bits up to n = 12
         running = checks._zeta_enclosures(2, values[4::2], pi_bounds())
-        for n, (lo_num, hi_num, den) in enumerate(running, start=2):
-            expected = zeta_ratio_check(n, values[2 * n])
-            assert (Fraction(lo_num, den), Fraction(hi_num, den)) == expected
+        for n, ends in enumerate(running, start=2):
+            fresh = checks._zeta_enclosures(n, [values[2 * n]], pi_bounds())
+            assert next(fresh) == ends
 
     def test_deep_enclosure_width(self):
         values = bernoulli_from_tangent(tangent_numbers(20)[0])
-        _, hi = zeta_ratio_check(20, values[40])
+        _, hi = zeta_enclosure(20, values[40])
         assert hi - 1 < Fraction(1, 2**39)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            zeta_ratio_check(0, Fraction(1))
 
     @pytest.mark.parametrize(
         "sign,side", [(1, "upper end is not below"), (-2, "lower end is not above")]
@@ -204,21 +223,21 @@ class TestZetaRatio:
     def test_enclosure_decided_past_256_bits(self, n):
         # the gap to either end is about 2**(-2n), beyond a 256-bit pi
         b = bernoulli_from_tangent(tangent_numbers(n)[0])[2 * n]
-        lo, hi = zeta_ratio_check(n, b)
+        lo, hi = zeta_enclosure(n, b)
         assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
 
 
 class TestSizeChecks:
     def test_fifty_terms(self):
         tangent, _ = tangent_numbers(50)
-        report = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert len(report.checks) == 3
-        assert report.all_pass
+        results = size_checks(tangent, bernoulli_from_tangent(tangent))
+        assert len(results) == 3
+        assert all(c.passed for c in results)
 
     def test_single_term(self):
-        report = size_checks([1], [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
-        assert len(report.checks) == 1
-        assert report.all_pass
+        results = size_checks([1], [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
+        assert len(results) == 1
+        assert all(c.passed for c in results)
 
     def test_coefficient_bound_spot_value(self):
         # the k = 4 instance of the bound: 272 * pi**6 <= 7! * 4**3
@@ -227,17 +246,17 @@ class TestSizeChecks:
 
     def test_true_values_pass_the_coefficient_bound(self):
         tangent, _ = tangent_numbers(300)
-        report = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert report.checks[0].name == "tangent coefficient bound"
-        assert report.checks[0].passed
+        results = size_checks(tangent, bernoulli_from_tangent(tangent))
+        assert results[0].name == "tangent coefficient bound"
+        assert results[0].passed
 
     def test_doubled_value_fails_the_coefficient_bound(self):
         # T_k / (2k-1)! sits near 8/pi**2 = 0.81 of (2/pi)**(2k-2), so a
         # doubled T_150 breaks the bound at its own index
         tangent = tangent_numbers(150)[0]
         tangent[-1] *= 2
-        report = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert report.checks[0] == checks.CheckResult(
+        results = size_checks(tangent, bernoulli_from_tangent(tangent))
+        assert results[0] == checks.CheckResult(
             "tangent coefficient bound",
             False,
             "k=150: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
@@ -268,40 +287,71 @@ class TestFermatDenominator:
 
 class TestTangentTailAudit:
     def test_bounds_ordered_and_small(self):
-        for n in range(2, 31):
-            lo, hi = tangent_tail_audit(n, tangent_numbers(n + 5)[0])
-            assert 0 < lo < hi < Fraction(1, 10)
+        assert tangent_tail_audit(tangent_numbers(35)[0]) == [True] * 29
 
-    def test_more_terms_only_raise_the_floor(self):
-        row = tangent_numbers(13)[0]
-        lo5, _ = tangent_tail_audit(4, row[:9])
-        lo9, _ = tangent_tail_audit(4, row)
-        assert lo9 > lo5
+    def test_agrees_with_the_fraction_sum(self):
+        row = tangent_numbers(65)[0]
+        assert tangent_tail_audit(row) == [tail_oracle(n, row) for n in range(2, 61)]
+        assert all(tangent_tail_audit(row))
+
+    @pytest.mark.parametrize("k", [9, 20, 40, 60])
+    def test_raised_value_agrees_with_the_fraction_sum(self, k):
+        # the least factor on T_k that fails the audit at n = k-1 by the
+        # Fraction sum; the integer audit must flip there too, and agree
+        # with the sum at every other n
+        row = tangent_numbers(65)[0]
+
+        def raised(factor):
+            values = list(row)
+            values[k - 1] *= factor
+            return values
+
+        lo, hi = 1, 2
+        while tail_oracle(k - 1, raised(hi)):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if tail_oracle(k - 1, raised(mid)) else (lo, mid)
+        for factor, holds in ((lo, True), (hi, False)):
+            values = raised(factor)
+            verdicts = tangent_tail_audit(values)
+            assert verdicts == [tail_oracle(n, values) for n in range(2, 61)]
+            assert verdicts[k - 3] is holds
 
     def test_rejects_small_n(self):
+        # [T_1..T_6] covers only N = 1, below the packing regime
         with pytest.raises(ValueError):
-            tangent_tail_audit(1, tangent_numbers(6)[0])
+            tangent_tail_audit(tangent_numbers(6)[0])
+        assert tangent_tail_audit(tangent_numbers(7)[0]) == [True]
 
     def test_rejects_row_without_tail_terms(self):
         with pytest.raises(ValueError):
-            tangent_tail_audit(4, tangent_numbers(4)[0])
+            tangent_tail_audit(tangent_numbers(4)[0])
 
 
 class TestStabilityContrast:
     def test_double_precision(self):
-        report = stability_contrast(53)
-        assert len(report.checks) == 3
-        assert report.all_pass
+        results = stability_contrast(53)
+        assert len(results) == 3
+        assert all(c.passed for c in results)
 
     def test_forty_bits(self):
-        report = stability_contrast(40)
-        assert len(report.checks) == 3
-        assert report.all_pass
+        results = stability_contrast(40)
+        assert len(results) == 3
+        assert all(c.passed for c in results)
+
+    @pytest.mark.parametrize("precision,count", [(24, 3), (56, 3), (57, 2)])
+    def test_precision_boundaries(self, precision, count):
+        # 24 is the least precision the CLI takes; 57 is the first without
+        # the breakdown check
+        results = stability_contrast(precision)
+        assert len(results) == count
+        assert all(c.passed for c in results)
 
     def test_wide_precision_drops_breakdown_check(self):
-        report = stability_contrast(100)
-        assert len(report.checks) == 2
-        assert report.all_pass
+        results = stability_contrast(100)
+        assert len(results) == 2
+        assert all(c.passed for c in results)
 
     def test_rejects_thin_precision(self):
         with pytest.raises(ValueError):
@@ -416,10 +466,7 @@ class TestRoundingBudgetBound:
         assert Fraction(72, 1000) < bound < Fraction(73, 1000)
 
     def test_running_products_match_a_fresh_start(self):
+        # a generator started at n agrees with one started at 2
         fresh = [rounding_budget_bound(n) for n in range(2, 12)]
         running = checks._rounding_budget_bounds(2)
         assert [next(running) for _ in fresh] == fresh
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            rounding_budget_bound(1)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import btseq.cli
 import btseq.engines
 from btseq.cli import run_cli
 from btseq.intops import IntegrityError
@@ -103,6 +104,17 @@ class TestSequenceCommands:
             f"usage error: cannot write --output {target}: No such file or directory\n"
         )
         assert "Traceback" not in err
+
+    def test_unwritable_output_fails_before_the_work(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        calls = []
+        monkeypatch.setattr(btseq.cli, "full_verification", lambda *a: calls.append(a))
+        target = tmp_path / "missing" / "verify.txt"
+        code, out, err = run(capsys, "verify", "-n", "129", "--output", str(target))
+        assert code == 1
+        assert err.startswith("usage error: cannot write --output")
+        assert calls == []
 
     def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", lambda n: [1] * n)

@@ -23,7 +23,6 @@ from btseq.recurrences import (
     secant_numbers,
     tangent_numbers,
 )
-from btseq.softfloat import SoftFloat
 
 # B_0..B_14, the classical table row every engine must reproduce
 BERNOULLI_0_14 = [
@@ -220,22 +219,36 @@ class TestAkiyamaTanigawa:
             akiyama_tanigawa_bernoulli(-1)
 
 
+def relative_error(value, exact):
+    return abs(value - exact) / abs(exact)
+
+
+# precision -> (numerator of the unstable B_60, numerator of the stable C_40
+# and the exponent of its power-of-two denominator); the unstable B_60 is an
+# integer at each of these precisions
+FLOAT_PINS = {
+    24: (-1496169334008044059794316520875244049351573504, -15441493, 235),
+    53: (3137962247184994843603480972732923904, -4145046306457673, 263),
+    57: (179973643008497227318688851267944448, -33160370451661379, 266),
+}
+
+
 class TestFloatRecurrences:
     def test_unstable_exact_skeleton(self):
         values = bernoulli_float_unstable(14, 53)
-        assert values[0].to_fraction() == 1
-        assert values[1].to_fraction() == Fraction(-1, 2)
-        assert all(values[m].to_fraction() == 0 for m in range(3, 15, 2))
+        assert values[0] == 1
+        assert values[1] == Fraction(-1, 2)
+        assert all(values[m] == 0 for m in range(3, 15, 2))
 
     def test_unstable_accurate_at_low_index(self):
         values = bernoulli_float_unstable(14, 53)
         for m in range(2, 15, 2):
-            assert values[m].relative_error(BERNOULLI_0_14[m]) < Fraction(1, 10**10)
+            assert relative_error(values[m], BERNOULLI_0_14[m]) < Fraction(1, 10**10)
 
     def test_unstable_error_grows_past_one(self):
         values = bernoulli_float_unstable(60, 53)
         exact = akiyama_tanigawa_bernoulli(60)
-        assert values[60].relative_error(exact[60]) > 1
+        assert relative_error(values[60], exact[60]) > 1
 
     def test_unstable_rejects_thin_precision(self):
         with pytest.raises(ValueError):
@@ -248,10 +261,20 @@ class TestFloatRecurrences:
         exact = akiyama_tanigawa_bernoulli(80)
         for k in range(41):
             target = exact[2 * k] / factorial(2 * k)
-            assert values[k].relative_error(target) < Fraction(1, 10**12)
+            assert relative_error(values[k], target) < Fraction(1, 10**12)
 
     def test_stable_first_values(self):
         values = scaled_bernoulli_stable(2, 53)
-        assert values[0].to_fraction() == 1
-        assert values[1].relative_error(Fraction(1, 12)) < Fraction(1, 2**51)
-        assert values[2].relative_error(Fraction(-1, 720)) < Fraction(1, 2**50)
+        assert values[0] == 1
+        assert relative_error(values[1], Fraction(1, 12)) < Fraction(1, 2**51)
+        assert relative_error(values[2], Fraction(-1, 720)) < Fraction(1, 2**50)
+
+    @pytest.mark.parametrize("precision", sorted(FLOAT_PINS))
+    def test_pinned_bit_for_bit(self, precision):
+        # every operand and result is rounded once, ties to even, so the two
+        # routes reproduce these exact values on any platform
+        unstable, stable, exponent = FLOAT_PINS[precision]
+        assert bernoulli_float_unstable(60, precision)[60] == unstable
+        assert scaled_bernoulli_stable(40, precision)[40] == Fraction(
+            stable, 2**exponent
+        )
