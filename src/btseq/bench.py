@@ -74,18 +74,23 @@ def bench_suite(
 
 
 def crossover_summary(records: Sequence[BenchRecord]) -> str:
-    """Smallest benchmarked n where the packed-division engine beat the
-    in-place recurrence; an observation about this machine, not a contract."""
+    """Least benchmarked n from which the packed-division engine beat the
+    in-place recurrence at every larger benchmarked n; an observation about
+    this machine, not a contract."""
     times: dict[int, dict[str, float]] = {}
     for record in records:
         times.setdefault(record.n, {})[record.algorithm] = record.wall_time
-    wins = sorted(
-        n
-        for n, by_name in times.items()
-        if "fast" in by_name
-        and "recurrence" in by_name
-        and by_name["fast"] < by_name["recurrence"]
+    start = None
+    for n in sorted(times, reverse=True):
+        by_name = times[n]
+        if "fast" not in by_name or "recurrence" not in by_name:
+            continue
+        if by_name["fast"] >= by_name["recurrence"]:
+            break
+        start = n
+    if start is None:
+        return "no crossover within the benchmarked sizes"
+    return (
+        f"crossover at n = {start}: the fast engine beats the in-place"
+        " recurrence there and at every larger benchmarked n"
     )
-    if wins:
-        return f"fast engine first beats the in-place recurrence at n = {wins[0]}"
-    return "no crossover within the benchmarked sizes"

@@ -150,15 +150,18 @@ def akiyama_tanigawa_bernoulli(n: int) -> BernoulliSeq:
     The raw triangle yields +1/2 at index 1; that single entry is negated so
     every Bernoulli producer in this package shares the B_1 = -1/2
     convention. Exact rationals throughout: this triangle loses all accuracy
-    in floating point.
+    in floating point. The row is kept over the one denominator
+    L = lcm(1..n+1): each update multiplies by an integer and subtracts, so
+    L stays a common denominator of every entry and the row holds ints.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = [Fraction(1, m + 1) for m in range(n + 1)]
-    out = [row[0]]
+    lcm = math.lcm(*range(1, n + 2))
+    row = [lcm // (m + 1) for m in range(n + 1)]
+    out = [Fraction(row[0], lcm)]
     for i in range(1, n + 1):
         row = [(m + 1) * (row[m] - row[m + 1]) for m in range(n + 1 - i)]
-        out.append(row[0])
+        out.append(Fraction(row[0], lcm))
     if n >= 1:
         out[1] = -out[1]
     return out

@@ -66,6 +66,31 @@ class TestCrossoverSummary:
         ]
         assert "n = 16" in crossover_summary(records)
 
+    def test_win_followed_by_a_loss_is_no_crossover(self):
+        records = [
+            BenchRecord("recurrence", 2, 9e-6, None, 1),
+            BenchRecord("fast", 2, 5e-6, None, 1),
+            BenchRecord("recurrence", 3, 5e-6, None, 1),
+            BenchRecord("fast", 3, 9e-6, None, 1),
+        ]
+        assert "no crossover" in crossover_summary(records)
+
+    def test_reports_the_start_of_the_last_winning_run(self):
+        records = [
+            BenchRecord("recurrence", 2, 9e-6, None, 1),
+            BenchRecord("fast", 2, 5e-6, None, 1),
+            BenchRecord("recurrence", 3, 5e-6, None, 1),
+            BenchRecord("fast", 3, 9e-6, None, 1),
+            BenchRecord("fast", 4, 1.0, None, 1),
+            BenchRecord("recurrence", 4, 2.0, None, 1),
+            BenchRecord("recurrence", 5, 4.0, None, 1),
+            BenchRecord("fast", 5, 3.0, None, 1),
+            BenchRecord("fast", 6, 1.0, None, 1),  # no recurrence time at n = 6
+        ]
+        summary = crossover_summary(records)
+        assert "n = 4" in summary
+        assert "n = 2" not in summary
+
     def test_reports_no_crossover(self):
         records = [
             BenchRecord("recurrence", 8, 2.0, None, 1),

@@ -204,6 +204,11 @@ class TestAkiyamaTanigawa:
         tangent, _ = tangent_numbers(15)
         assert akiyama_tanigawa_bernoulli(30) == bernoulli_from_tangent(tangent)
 
+    @pytest.mark.parametrize("n", [31, 600, 1000])
+    def test_matches_tangent_route_at_size(self, n):
+        tangent, _ = tangent_numbers(n // 2 + 1)
+        assert akiyama_tanigawa_bernoulli(n) == bernoulli_from_tangent(tangent)[: n + 1]
+
     def test_index_one_sign_fixup(self):
         # the raw triangle produces +1/2 at index 1; the engine reports -1/2
         row = [Fraction(1, m + 1) for m in range(3)]
