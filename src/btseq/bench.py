@@ -58,10 +58,11 @@ def bench_suite(
     for name in names:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
+    sizes = list(n_values)
+    if any(n < 2 for n in sizes):
+        raise ValueError("benchmark sizes must be >= 2")
     records = []
-    for n in n_values:
-        if n < 2:
-            raise ValueError("benchmark sizes must be >= 2")
+    for n in sizes:
         for name in names:
             sequence = ALGORITHMS[name]
             best = math.inf

@@ -175,10 +175,10 @@ def _zeta_pi_bits(n: int) -> int:
 
 
 def _zeta_enclosures(
-    first: int, values: Iterable[Fraction], pi: tuple[int, int, int]
+    values: Iterable[Fraction], pi: tuple[int, int, int]
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (lo_num, hi_num, den) with lo_num/den <= rho_k <= hi_num/den,
-    for k = first, first+1, ... and B_2k taken from values.
+    for k = 2, 3, ... and B_2k taken from values.
 
     rho_k = |B_2k| (2 pi)**(2k) / (2 (2k)!) equals the zeta value at 2k, so
     for k >= 2 it lies strictly inside (1, 1 + 2**(1-2k)); pi_bounds at
@@ -188,12 +188,10 @@ def _zeta_enclosures(
     a few multiplications and no gcd.
     """
     lo, hi, shift = pi
-    factorial = math.factorial(2 * first)  # (2k)!
-    lo_power, hi_power = (2 * lo) ** (2 * first), (2 * hi) ** (2 * first)
-    for k, b in enumerate(values, start=first):
-        if k > first:
-            factorial *= (2 * k - 1) * (2 * k)
-            lo_power, hi_power = lo_power * 4 * lo * lo, hi_power * 4 * hi * hi
+    factorial, lo_power, hi_power = 2, 4 * lo * lo, 4 * hi * hi  # at k = 1
+    for k, b in enumerate(values, start=2):
+        factorial *= (2 * k - 1) * (2 * k)  # (2k)!
+        lo_power, hi_power = lo_power * 4 * lo * lo, hi_power * 4 * hi * hi
         b = Fraction(b)
         num = abs(b.numerator)
         den = 2 * factorial * b.denominator << (2 * k * shift)
@@ -321,10 +319,10 @@ def tangent_tail_audit(tangent: TangentSeq) -> list[bool]:
     return verdicts
 
 
-def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
+def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     """Yield closed-form bounds on the packed tangent quotient's rounding
-    distance at sizes n = first, first+1, ..., as (num, den), left
-    unreduced like quotient_rounding_distance.
+    distance at sizes n = 2, 3, ..., as (num, den), left unreduced like
+    quotient_rounding_distance.
 
     With x = 2**(-p) the engine's ratio S/C is (2n-1)! x**(1-2n) s/c for the
     n-term sin and cos sums s and c, and the true block sum V is
@@ -341,19 +339,17 @@ def _rounding_budget_bounds(first: int) -> Iterator[tuple[int, int]]:
 
     A bound below 1/2 makes the rounded quotient exactly V, so it bounds
     the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
-    budget, and shrinks like (4/(pi e))**(2n). first must be at least 2.
+    budget, and shrinks like (4/(pi e))**(2n).
 
     (2n-1)! and the power of pi_lo are running products. pi is bracketed to
     32 bits, which loosens (2/pi)**(2n) by less than a factor 1 + n 2**-32
     and keeps the powers short.
     """
     a, e, g = pi_bounds(32)  # pi_lo = a / 2**g, pi_hi = e / 2**g
-    factorial = math.factorial(2 * first - 1)  # (2k-1)!
-    pi_power = a ** (2 * first)  # a**(2k)
-    for k in itertools.count(first):
-        if k > first:
-            factorial *= (2 * k - 2) * (2 * k - 1)
-            pi_power *= a * a
+    factorial, pi_power = 1, a * a  # at k = 1
+    for k in itertools.count(2):
+        factorial *= (2 * k - 2) * (2 * k - 1)  # (2k-1)!
+        pi_power *= a * a  # a**(2k)
         p = least_half_block_bits(k)
         # tail: (2k-1)! 2 zeta(6) (2/pi_lo)**(2k) u/(1-u), u = (2x/pi_lo)**2 and
         # zeta(6) <= pi_hi**6/945, is tail_num * 2**shift / tail_den
@@ -435,7 +431,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         f"index {m}" for m in evens if not fermat_denominator_check(m, bernoulli[m])
     )
     checks.append(_first_miss("denominator primes divide 2**m - 1", fermat))
-    enclosures = _zeta_enclosures(2, bernoulli[4::2], pi_bounds(_zeta_pi_bits(n)))
+    enclosures = _zeta_enclosures(bernoulli[4::2], pi_bounds(_zeta_pi_bits(n)))
     zeta = (_zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
     checks.append(_first_miss("zeta ratio enclosure", zeta))
     checks.extend(size_checks(tangent, bernoulli))
@@ -446,7 +442,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         checks.append(_first_miss("packed-quotient tail bound", tail, audited))
 
         # the closed form covers every k; one exact audit checks the engine
-        bounds = list(itertools.islice(_rounding_budget_bounds(2), n - 1))
+        bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
         least = min(math.log2(12 * den) - math.log2(100 * num) for num, den in bounds)
 
         def budget() -> Iterator[str]:

@@ -3,15 +3,15 @@
 A truncated series is a plain sequence of ints, entry j multiplying z**j,
 and its length is its order. The reciprocal is scaled: series_reciprocal
 returns scale * (1/a) modulo z**order, which must have integer
-coefficients, and runs Newton's doubling iteration on it. Each pass settles
-the next block of coefficients with one exact division by `scale` per
-coefficient, and every returned reciprocal (a tuple) is re-verified against
-the defining convolution identity before it leaves this module.
+coefficients, and every returned reciprocal (a tuple) is re-verified
+against the defining convolution identity before it leaves this module.
 
-Products are Kronecker substitutions: each series is packed as one decimal
-number with a coefficient per fixed-width slot, the two numbers are
-multiplied exactly by libmpdec (number-theoretic transforms for large
-operands), and the slots are read back from the product's digit string.
+Both steps are Kronecker substitutions: each series is packed as one
+decimal number with a coefficient per fixed-width slot, and libmpdec does
+the arithmetic exactly (number-theoretic transforms for large operands).
+The reciprocal is one rounded division whose quotient holds every
+coefficient in its own slot, read off its digit string once; the check is
+one product whose low slots must come out as scale followed by zeros.
 
 Inverting sinh(x)/x in w = x**2 yields the even Bernoulli numbers.
 """
@@ -32,7 +32,7 @@ from decimal import (
 from fractions import Fraction
 from typing import Sequence
 
-from .intops import IntegrityError, exact_div
+from .intops import IntegrityError
 from .recurrences import BernoulliSeq
 
 # Every Decimal operation runs in this context, so any rounding raises.
@@ -57,54 +57,41 @@ def _pack(coeffs: Sequence[int], width: int) -> Decimal:
     return _EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """The product series of a and b, truncated to `order` coefficients.
-
-    No product coefficient exceeds max|a| * max|b| * min(len) in magnitude,
-    so slots of `width` digits with 10**width above twice that bound never
-    collide, and a slot read as more than half the radix is a negative
-    coefficient that borrowed one from the slot above.
-    """
-    a, b = a[:order], b[:order]
-    if not a or not b:
-        return [0] * order
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    # 10**width >= 2**bits > 2 * bound, as log10(2) < 0.30103
-    width = (2 * bound).bit_length() * 30103 // 100000 + 1
-    digits = str(_EXACT.multiply(_pack(a, width), _pack(b, width)))
-    negative = digits.startswith("-")
-    digits = digits.lstrip("-").zfill(order * width)
-    radix = 10**width
-    half = radix >> 1
-    out = []
-    borrow = 0
-    end = len(digits)
-    for _ in range(order):
-        c = int(Decimal(digits[end - width : end])) + borrow
-        borrow = c > half
-        if borrow:
-            c -= radix
-        out.append(-c if negative else c)
-        end -= width
-    return out
-
-
 def check_reciprocal(a: Sequence[int], b: Sequence[int], scale: int) -> None:
-    """Verify sum_j a_j b_{m-j} = scale * [m == 0] for every m below len(b)."""
+    """Verify sum_j a_j b_{m-j} = scale * [m == 0] for every m below len(b).
+
+    Below len(b), every coefficient of a * b - scale is at most
+    bound = max|a| max|b| len(b) + |scale| < 10**width in magnitude, so the
+    packed difference is a multiple of 10**(len(b) width) only if all of
+    them are 0, and one product decides.
+    """
     if not b:
         raise ValueError("reciprocal must have at least one coefficient")
-    product = _convolve(a, b, len(b))
-    if product[0] != scale or any(product[1:]):
+    a = a[: len(b)] or (0,)
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(b) + abs(scale)
+    # 10**width >= 2**bits > bound, as log10(2) < 0.30103
+    width = bound.bit_length() * 30103 // 100000 + 1
+    rest = _EXACT.fma(_pack(a, width), _pack(b, width), -scale)
+    if rest and not str(rest).endswith("0" * (len(b) * width)):
         raise IntegrityError("series reciprocal violates its convolution identity")
 
 
 def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ...]:
-    """Return e = scale * (1/a) modulo z**order, by Newton doubling.
+    """Return e = scale * (1/a) modulo z**order, by one exact division.
 
-    With e settled below s, a * e = scale + z**s * H modulo z**(2s), and
-    e - z**s * (e * H) / scale is settled below 2s. Every division is
-    exact when scale * (1/a) has integer coefficients, so a scale that is
-    not a multiple of every denominator raises IntegrityError.
+    Take K = order, alpha = |a_0|, sigma = sum_{0<k<K} |a_k| and
+    M = max(1, |scale|/alpha) max(1, sigma/alpha)**(K-1), which bounds every
+    |e_j|, and a radix R = 10**width > 8 (alpha + sigma) M / alpha >= 8M.
+    A = R**(K-1) a(1/R) packs a[:K] and E = R**(K-1) e(1/R) packs e, both
+    highest first. V, the nearest integer to scale R**(2K-2) / A, is E:
+
+    a e = scale + z**K H gives A E = scale R**(2K-2) + R**(K-2) H(1/R), and
+    |H(1/R)| <= sigma M R/(R-1), |A| >= R**(K-1) (alpha - sigma/R) put the
+    quotient within sigma M / (R alpha - alpha - sigma) < 1/7 of E.
+
+    R/2 added to every slot makes each one positive, read off the digits
+    once. A scale that leaves e fractional still puts V within 1 of E, and
+    the other integers read then fail the final check (IntegrityError).
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -112,13 +99,23 @@ def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ..
         raise ValueError("series must have a nonzero constant term")
     if scale == 0:
         raise ValueError("scale must be nonzero")
-    e = [exact_div(scale, a[0])]
-    settled = 1
-    while settled < order:
-        step = min(settled, order - settled)
-        high = _convolve(a, e, settled + step)[settled:]
-        e += [-exact_div(c, scale) for c in _convolve(e, high, step)]
-        settled += step
+    a = a[:order]
+    alpha, sigma = abs(a[0]), sum(map(abs, a[1:]))
+    # 2**growth >= max(1, sigma/alpha), exactly when sigma <= alpha
+    growth = 0 if sigma <= alpha else sigma.bit_length() - alpha.bit_length() + 1
+    bound = 8 * (alpha + sigma) * max(abs(scale), alpha) // alpha**2
+    # R > 2**bits > 8 (alpha + sigma) M / alpha, as log10(2) < 0.30103
+    width = (bound.bit_length() + (order - 1) * growth) * 30103 // 100000 + 1
+    den = _pack([*a, *[0] * (order - len(a))][::-1], width).copy_abs()
+    num = _EXACT.scaleb(Decimal(abs(scale)), (2 * order - 2) * width)
+    # |V| = floor((2 |num| + |A|) / (2 |A|)), then V + R/2 in every slot
+    magnitude = _EXACT.divide_int(_EXACT.fma(num, 2, den), _EXACT.multiply(den, 2))
+    bias = Decimal(("5" + "0" * (width - 1)) * order)
+    sign = 1 if (scale < 0) == (a[0] < 0) else -1
+    digits = str(_EXACT.fma(sign, magnitude, bias)).zfill(order * width)
+    half = 5 * 10 ** (width - 1)
+    slots = range(0, order * width, width)
+    e = [int(Decimal(digits[i : i + width])) - half for i in slots]
     check_reciprocal(a, e, scale)
     return tuple(e)
 

@@ -133,7 +133,7 @@ def test_criterion_05_von_staudt_clausen_sweep():
 def test_criterion_06_zeta_ratio_enclosure():
     values = bernoulli_from_tangent(tangent_numbers(50)[0])
     ok = True
-    enclosures = _zeta_enclosures(2, values[4::2], pi_bounds())
+    enclosures = _zeta_enclosures(values[4::2], pi_bounds())
     for n, (lo_num, hi_num, den) in enumerate(enclosures, start=2):
         lo, hi = Fraction(lo_num, den), Fraction(hi_num, den)
         if not (1 < lo and hi < 1 + Fraction(2) ** (1 - 2 * n)):

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import btseq.bench as bench
 from btseq.bench import ALGORITHMS, BenchRecord, bench_suite, crossover_summary
 from btseq.cli import run_cli
+from btseq.engines import ENGINES
 
 
 class TestBenchSuite:
@@ -50,6 +52,23 @@ class TestBenchSuite:
     def test_rejects_small_sizes(self):
         with pytest.raises(ValueError):
             bench_suite([1])
+
+    def test_rejects_small_sizes_before_any_timing(self, monkeypatch):
+        calls = []
+
+        def counted(produce):
+            return lambda n: calls.append(n) or produce(n)
+
+        engines = {
+            key: engine._replace(produce=counted(engine.produce))
+            for key, engine in ENGINES.items()
+        }
+        monkeypatch.setattr(bench, "ENGINES", engines)
+        with pytest.raises(ValueError):
+            bench_suite([40, 1])
+        assert calls == []
+        bench_suite([2], ["fast"])
+        assert len(calls) == bench.REPEATS
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -41,17 +42,18 @@ def pi_fractions(bits=256):
     return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
 
 
-def zeta_enclosure(n, b):
-    """The zeta family's bracket on |B_2n| (2 pi)**(2n) / (2 (2n)!), started
-    fresh at index 2n with the pi precision that verify uses at size n."""
+def zeta_enclosure(n, values):
+    """The zeta family's bracket on |B_2n| (2 pi)**(2n) / (2 (2n)!), from
+    values = [B_0..B_2m] with m >= n, at the pi precision verify uses at n."""
     pi = pi_bounds(checks._zeta_pi_bits(n))
-    lo_num, hi_num, den = next(checks._zeta_enclosures(n, [b], pi))
+    enclosures = checks._zeta_enclosures(values[4::2], pi)
+    lo_num, hi_num, den = next(itertools.islice(enclosures, n - 2, None))
     return Fraction(lo_num, den), Fraction(hi_num, den)
 
 
-def rounding_budget_bound(n):
-    """The closed-form rounding bound at size n, from a generator started there."""
-    return next(checks._rounding_budget_bounds(n))
+def rounding_budget_bounds(last):
+    """(n, closed-form rounding bound at size n) for n = 2..last."""
+    return enumerate(itertools.islice(checks._rounding_budget_bounds(), last - 1), 2)
 
 
 def tail_oracle(n, tangent):
@@ -169,32 +171,24 @@ class TestVonStaudtClausen:
 
 
 class TestZetaRatio:
-    def test_zeta_two(self):
-        lo, hi = zeta_enclosure(1, Fraction(1, 6))
+    def test_zeta_four(self):
+        lo, hi = zeta_enclosure(2, bernoulli_from_tangent(tangent_numbers(2)[0]))
         assert lo < hi
-        assert float(lo) == float(hi) == 1.6449340668482264  # pi**2 / 6
+        assert float(lo) == float(hi) == 1.0823232337111381  # zeta(4) = pi**4 / 90
 
     def test_enclosure_tightens(self):
         values = bernoulli_from_tangent(tangent_numbers(25)[0])
         previous = None
         for n in range(2, 26):
-            lo, hi = zeta_enclosure(n, values[2 * n])
+            lo, hi = zeta_enclosure(n, values)
             assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
             if previous is not None:
                 assert hi < previous
             previous = hi
 
-    def test_running_products_match_a_fresh_start(self):
-        # a generator started at n agrees with one started at 2
-        values = bernoulli_from_tangent(tangent_numbers(12)[0])
-        running = checks._zeta_enclosures(2, values[4::2], pi_bounds())
-        for n, ends in enumerate(running, start=2):
-            fresh = checks._zeta_enclosures(n, [values[2 * n]], pi_bounds())
-            assert next(fresh) == ends
-
     def test_deep_enclosure_width(self):
         values = bernoulli_from_tangent(tangent_numbers(20)[0])
-        _, hi = zeta_enclosure(20, values[40])
+        _, hi = zeta_enclosure(20, values)
         assert hi - 1 < Fraction(1, 2**39)
 
     @pytest.mark.parametrize(
@@ -222,8 +216,7 @@ class TestZetaRatio:
     @pytest.mark.parametrize("n", [128, 200])
     def test_enclosure_decided_past_256_bits(self, n):
         # the gap to either end is about 2**(-2n), beyond a 256-bit pi
-        b = bernoulli_from_tangent(tangent_numbers(n)[0])[2 * n]
-        lo, hi = zeta_enclosure(n, b)
+        lo, hi = zeta_enclosure(n, bernoulli_from_tangent(tangent_numbers(n)[0]))
         assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
 
 
@@ -422,8 +415,8 @@ class TestRoundingBudget:
     def test_closed_form_over_budget_fails_at_its_k(self, capsys, monkeypatch):
         original = checks._rounding_budget_bounds
 
-        def over_at_three(first):
-            for k, (num, den) in enumerate(original(first), start=first):
+        def over_at_three():
+            for k, (num, den) in enumerate(original(), start=2):
                 yield (den, den) if k == 3 else (num, den)
 
         monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
@@ -451,22 +444,14 @@ class TestRoundingBudgetBound:
         # the closed form forces the rounded quotient onto the block sum, so
         # it must bound the engine's exact distance; at n = 2 that is 2/31
         # against a bound of 0.0721, and neither term alone reaches it
-        for n in range(2, 151):
-            num, den = rounding_budget_bound(n)
+        for n, (num, den) in rounding_budget_bounds(150):
             d, cos_scaled = quotient_rounding_distance(n)
             assert num * cos_scaled >= d * den, n
 
     def test_under_budget_through_a_thousand(self):
-        for n in range(2, 1001):
-            num, den = rounding_budget_bound(n)
+        for n, (num, den) in rounding_budget_bounds(1000):
             assert 100 * num < 12 * den, n
 
     def test_value_at_two(self):
-        bound = Fraction(*rounding_budget_bound(2))
+        bound = Fraction(*next(checks._rounding_budget_bounds()))
         assert Fraction(72, 1000) < bound < Fraction(73, 1000)
-
-    def test_running_products_match_a_fresh_start(self):
-        # a generator started at n agrees with one started at 2
-        fresh = [rounding_budget_bound(n) for n in range(2, 12)]
-        running = checks._rounding_budget_bounds(2)
-        assert [next(running) for _ in fresh] == fresh

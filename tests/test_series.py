@@ -14,12 +14,7 @@ from btseq.recurrences import (
     bernoulli_from_tangent,
     tangent_numbers,
 )
-from btseq.series import (
-    _convolve,
-    bernoulli_via_series,
-    check_reciprocal,
-    series_reciprocal,
-)
+from btseq.series import bernoulli_via_series, check_reciprocal, series_reciprocal
 
 
 def schoolbook(a, b, order: int) -> list[int]:
@@ -52,7 +47,31 @@ def scaled_oracle(a, order: int) -> list[int]:
     return [int(q) for q in scaled]
 
 
+def unit_reciprocal(a, order: int, scale: int) -> list[int]:
+    """Independent oracle: scale/a by back substitution in integers, for
+    a[0] in (1, -1), where 1/a[0] = a[0]."""
+    b = [scale * a[0]]
+    for m in range(1, order):
+        b.append(-a[0] * sum(a[j] * b[m - j] for j in range(1, min(m, len(a) - 1) + 1)))
+    return b
+
+
+def accepts(a, b, scale: int) -> bool:
+    """Whether check_reciprocal passes, rather than raising IntegrityError."""
+    try:
+        check_reciprocal(a, b, scale)
+    except IntegrityError:
+        return False
+    return True
+
+
+def identity_holds(a, b, scale: int) -> bool:
+    """The schoolbook verdict that check_reciprocal must reproduce."""
+    return schoolbook(a, b, len(b)) == [scale] + [0] * (len(b) - 1)
+
+
 signed = st.integers(-(2**200), 2**200)
+unit = st.sampled_from([1, -1])
 
 
 def series(min_order=1, max_order=12):
@@ -66,59 +85,89 @@ def series(min_order=1, max_order=12):
 
 
 class TestConvolve:
-    @given(st.lists(signed, max_size=20), st.lists(signed, max_size=20), st.integers(1, 45))
-    def test_matches_schoolbook(self, a, b, order):
-        assert _convolve(a, b, order) == schoolbook(a, b, order)
+    """The truncated convolution identity, decided by check_reciprocal in one
+    packed product, against the schoolbook product."""
+
+    @given(
+        st.lists(signed, max_size=20),
+        st.lists(signed, min_size=1, max_size=20),
+        signed,
+        st.booleans(),
+    )
+    def test_matches_schoolbook(self, a, b, scale, true_scale):
+        # with the product's own constant only the higher terms can fail
+        if true_scale:
+            scale = schoolbook(a, b, 1)[0]
+        assert accepts(a, b, scale) == identity_holds(a, b, scale)
 
     @given(
         st.integers(1, 10**60),
         st.integers(1, 16),
-        st.sampled_from([1, -1]),
-        st.sampled_from([1, -1]),
+        unit,
+        unit,
+        st.booleans(),
         st.booleans(),
     )
-    def test_coefficients_at_the_slot_bound(self, top, length, sign_a, sign_b, alternate):
-        # every term of the middle coefficient has one sign, so it reaches
-        # max|a| * max|b| * min(len) exactly
+    def test_coefficients_at_the_slot_bound(
+        self, top, length, sign_a, sign_b, alternate, negate_scale
+    ):
+        # every term of the last coefficient has one sign, so it reaches
+        # max|a| * max|b| * len(b) exactly
         a = [sign_a * top * (-1) ** (j * alternate) for j in range(length)]
         b = [sign_b * top * (-1) ** (j * alternate) for j in range(length)]
-        order = 2 * length - 1
-        got = _convolve(a, b, order)
-        assert abs(got[length - 1]) == top * top * length
-        assert got == schoolbook(a, b, order)
+        product = schoolbook(a, b, length)
+        assert abs(product[-1]) == top * top * length
+        scale = -product[0] if negate_scale else product[0]
+        assert accepts(a, b, scale) == identity_holds(a, b, scale)
 
-    @given(st.lists(signed, min_size=1, max_size=8), st.integers(1, 2**200))
-    def test_negative_top_coefficient(self, a, top):
+    @given(st.lists(signed, min_size=1, max_size=8), st.integers(1, 2**200), signed)
+    def test_negative_top_coefficient(self, a, top, scale):
         # the packed value of b, and of the product, is negative
         b = a + [-top]
-        order = len(a) + len(b) - 1
-        got = _convolve(a, b, order)
-        assert got == schoolbook(a, b, order)
+        assert accepts(a, b, scale) == identity_holds(a, b, scale)
+        assert accepts(a, b, a[0] * a[0]) == identity_holds(a, b, a[0] * a[0])
 
     def test_negative_packed_product(self):
-        assert _convolve([3, -7], [2, 5], 3) == [6, 1, -35]
-        assert _convolve([-1], [-1], 1) == [1]
+        check_reciprocal((-1,), (-1,), 1)
+        # 1/(1 + z) = 1 - z + z**2 - z**3 + ...
+        check_reciprocal((1, 1), (1, -1, 1, -1), 1)
+        # (z - 1)(-1 - z - z**2) = 1 - z**3
+        check_reciprocal((-1, 1), (-1, -1, -1), 1)
+        with pytest.raises(IntegrityError):
+            check_reciprocal((3, -7), (2, 5), 6)
 
-    @given(signed, signed, st.integers(1, 5))
-    def test_one_coefficient_inputs(self, x, y, order):
-        assert _convolve([x], [y], order) == [x * y] + [0] * (order - 1)
+    @given(signed, signed, signed)
+    def test_one_coefficient_inputs(self, x, y, tail):
+        assert accepts([x], [y], x * y)
+        assert not accepts([x], [y], x * y + 1)
+        # only a[:len(b)] enters the identity
+        assert accepts([x, tail], [y], x * y)
 
-    @given(st.lists(signed, min_size=1, max_size=6), st.lists(signed, min_size=1, max_size=6))
-    def test_order_past_the_product_length(self, a, b):
-        order = len(a) + len(b) + 5
-        got = _convolve(a, b, order)
-        assert got == schoolbook(a, b, order)
-        assert got[len(a) + len(b) - 1 :] == [0] * 6
+    @given(signed, signed, st.integers(1, 12), st.integers(0, 6))
+    def test_order_past_the_product_length(self, x, y, order, extra):
+        # trailing zeros of b carry the window past every nonzero product term
+        check_reciprocal([x], [y] + [0] * order, x * y)
+        # 1/(1 - z) = 1 + z + z**2 + ..., and terms of a past len(b) are ignored
+        check_reciprocal((1, -1), (1,) * order, 1)
+        check_reciprocal((1, -1, *range(7, 7 + extra)), (1,) * min(order, 2), 1)
 
     def test_empty_and_zero_inputs(self):
-        assert _convolve([], [1, 2], 3) == [0, 0, 0]
-        assert _convolve([0, 0], [0], 2) == [0, 0]
+        # an empty a is the zero series: its product is scale only for scale 0
+        check_reciprocal((), (1, 2), 0)
+        with pytest.raises(IntegrityError):
+            check_reciprocal((), (1, 2), 1)
+        check_reciprocal((0, 0), (0,), 0)
+        with pytest.raises(IntegrityError):
+            check_reciprocal((0, 0), (0,), 1)
 
     def test_wide_slots(self):
-        # slots wider than the 4300-digit int-to-str limit
-        a = [10**5000 + 1, -(10**4999)]
-        b = [-(10**4500), 3]
-        assert _convolve(a, b, 3) == schoolbook(a, b, 3)
+        # coefficients past the 4300-digit int-to-str limit
+        a = (1, 10**5000 + 1, -(10**4999))
+        b = unit_reciprocal(a, 4, -(10**4500))
+        check_reciprocal(a, b, -(10**4500))
+        b[3] += 1
+        with pytest.raises(IntegrityError):
+            check_reciprocal(a, b, -(10**4500))
 
 
 class TestSeriesReciprocal:
@@ -158,6 +207,40 @@ class TestSeriesReciprocal:
         with pytest.raises(IntegrityError):
             series_reciprocal(a, order, 3 ** (order - 1))
 
+    def test_geometrically_growing_reciprocal(self):
+        # 1/(1 - 10**40 z) = sum 10**(40j) z**j, so sigma/alpha sets the radix
+        out = series_reciprocal((1, -(10**40)), 40, 1)
+        assert out == tuple(10 ** (40 * j) for j in range(40))
+
+    def test_negative_constant_term_and_scale(self):
+        a = (-3, 1, 4, -1, 5)
+        scale = -(3**7)
+        expected = [scale * q for q in back_substitution_reciprocal(a, 7)]
+        assert list(series_reciprocal(a, 7, scale)) == expected
+        assert series_reciprocal((-2,), 1, -6) == (3,)
+
+    @given(unit, st.lists(signed, max_size=10), st.integers(1, 14), signed)
+    def test_large_signed_coefficients(self, head, tail, order, scale):
+        a = (head, *tail)
+        scale = scale or 1
+        assert list(series_reciprocal(a, order, scale)) == unit_reciprocal(
+            a, order, scale
+        )
+
+    @pytest.mark.parametrize(
+        "a,order,scale",
+        [
+            ((3,), 1, 1),
+            ((-7, 2), 3, 5),
+            # slots sized by |scale|/alpha < 1 alone would overflow here
+            ((-4 * 10**15, 4 * 10**15, 90), 4, 4 * 10**9),
+            ((4 * 10**13, -4 * 10**11, -2000, 0, 800), 4, -40000),
+        ],
+    )
+    def test_scale_below_the_constant_term_raises(self, a, order, scale):
+        with pytest.raises(IntegrityError):
+            series_reciprocal(a, order, scale)
+
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ValueError):
             series_reciprocal((0, 1), 2, 1)
@@ -192,6 +275,21 @@ class TestCheckReciprocal:
         b[j] += data.draw(st.integers(1, 10**30) | st.integers(-(10**30), -1))
         with pytest.raises(IntegrityError):
             check_reciprocal(a, b, a[0] ** order)
+
+    @given(unit, st.lists(signed, max_size=12), st.integers(1, 16), signed, st.data())
+    def test_accepts_exactly_the_true_reciprocal(self, head, tail, order, scale, data):
+        a = (head, *tail)
+        b = unit_reciprocal(a, order, scale)
+        assert accepts(a, b, scale)
+        j = data.draw(st.integers(0, order - 1))
+        b[j] += data.draw(st.sampled_from([1, -1, 10**50, -(10**50)]))
+        assert not accepts(a, b, scale)
+
+    def test_scale_counts_toward_the_slot_width(self):
+        # max|a| max|b| len(b) = 2 alone gives one-digit slots, in which
+        # (0, 1) packs to 10 and the wrong scale 10 would cancel it
+        assert not accepts((1,), (0, 1), 10)
+        assert not accepts((1,), (0, 0, 1), 100)
 
     def test_rejects_wrong_constant(self):
         with pytest.raises(IntegrityError):
