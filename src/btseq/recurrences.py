@@ -1,7 +1,8 @@
 """Quadratic-time exact engines for tangent, secant, and Bernoulli numbers.
 
-Two in-place engines run a three-term update over a single row buffer (one
-for tangent numbers, one for secant numbers). The boustrophedon triangle of
+Two in-place engines run the paper's row recurrences over a single row
+buffer (one for tangent numbers, one for secant numbers), rescaled so that
+each trip is one small multiply and one add. The boustrophedon triangle of
 Atkinson produces both integer families with additions only. The
 Akiyama-Tanigawa triangle is the all-rational route to Bernoulli numbers,
 and two fixed-precision recurrences demonstrate the numerically stable and
@@ -46,59 +47,56 @@ class OpCounters:
 def tangent_numbers(
     n: int, trace: Optional[Callable[[int, list[int]], None]] = None
 ) -> tuple[TangentSeq, OpCounters]:
-    """Return ([T_1..T_n], counters) via the in-place three-term update.
+    """Return ([T_1..T_n], counters) via the scaled in-place recurrence.
 
-    The row starts as T_k = (k-1)! and each outer pass k applies
-    T_j <- (j-k) T_{j-1} + (j-k+2) T_j for j = k..n, sweeping one diagonal
-    of the table of derivative-polynomial coefficients of tan. `trace`,
-    when given, is called as trace(k, row) once after each outer pass k,
-    when row[j] for j = k..n still holds the value of inner update (k, j)
-    (used to test the dataflow). row is the live buffer: read it during
-    the call, and neither keep nor change it.
+    The paper's pass k applies T_j <- (j-k) T_{j-1} + (j-k+2) T_j for j = k..n
+    to a row that starts as T_j = (j-1)!, sweeping one diagonal of the table
+    of derivative-polynomial coefficients of tan. Here row[j] holds u_j = T_j/(j-k)!
+    after pass k; dividing the update by (j-k)! gives u_k <- 2 u_k and
+    u_j <- u_{j-1} + (d+1)(d+2) u_j for d = j-k >= 1, from a row of ones.
+    A trip off the diagonal is one multiply by an integer below n**2 and one
+    add, and no entry ever exceeds T_n. `trace`, when given, is called as
+    trace(k, row) once after each outer pass k, when row[j] for j = k..n
+    holds the paper's value of inner update (k, j) divided by (j-k)! (used
+    to test the dataflow). row is the live buffer: read it during the call,
+    and neither keep nor change it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = [0] * (n + 1)
-    row[1] = 1
+    row = [1] * (n + 1)
+    weights = [(d + 1) * (d + 2) for d in range(1, n)]
     for k in range(2, n + 1):
-        row[k] = (k - 1) * row[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            row[j] = (j - k) * row[j - 1] + (j - k + 2) * row[j]
+        prev = row[k] = row[k] + row[k]
+        for j, w in zip(range(k + 1, n + 1), weights):
+            prev = row[j] = prev + w * row[j]
         if trace is not None:
             trace(k, row)
     trips = n * (n - 1) // 2
     ops = OpCounters(
-        additions=trips,
-        multiplications=2 * trips + n - 1,
-        init_multiplications=n - 1,
-        loop_trips=trips,
+        additions=trips, multiplications=trips - (n - 1), loop_trips=trips
     )
     return row[1:], ops
 
 
 def secant_numbers(n: int) -> tuple[SecantSeq, OpCounters]:
-    """Return ([S_0..S_n], counters) via the in-place three-term update.
+    """Return ([S_0..S_n], counters) via the scaled in-place recurrence.
 
-    The row starts as S_k = k * S_{k-1} and each outer pass k applies
-    S_j <- (j-k) S_{j-1} + (j-k+1) S_j for j = k+1..n.
+    The paper's pass k applies S_j <- (j-k) S_{j-1} + (j-k+1) S_j for
+    j = k+1..n to a row that starts as S_j = j!. Here row[j] holds
+    u_j = S_j/(j-k)! after pass k; dividing the update by (j-k)! gives
+    u_j <- u_{j-1} + (d+1)**2 u_j for d = j-k >= 1, from a row of ones.
+    Each trip is one multiply by an integer at most n**2 and one add.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = [0] * (n + 1)
-    row[0] = 1
+    row = [1] * (n + 1)
+    weights = [(d + 1) ** 2 for d in range(1, n)]
     for k in range(1, n + 1):
-        row[k] = k * row[k - 1]
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            row[j] = (j - k) * row[j - 1] + (j - k + 1) * row[j]
+        prev = row[k]
+        for j, w in zip(range(k + 1, n + 1), weights):
+            prev = row[j] = prev + w * row[j]
     trips = n * (n - 1) // 2
-    ops = OpCounters(
-        additions=trips,
-        multiplications=2 * trips + n,
-        init_multiplications=n,
-        loop_trips=trips,
-    )
+    ops = OpCounters(additions=trips, multiplications=trips, loop_trips=trips)
     return row, ops
 
 
