@@ -17,12 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from . import fastfixed
 from .engines import ENGINES, REACH
-from .fastfixed import least_half_block_bits, quotient_rounding_distance
+from .fastfixed import least_half_block_bits
 from .intops import IntegrityError
 from .recurrences import (
     BernoulliSeq,
     TangentSeq,
+    atkinson_tangent_secant,
     bernoulli_float_unstable,
     bernoulli_from_tangent,
     scaled_bernoulli_stable,
@@ -116,28 +118,25 @@ def _sequences_equal(name: str, left, right) -> CheckResult:
     return CheckResult(name, False, f"lengths differ: {len(left)} != {len(right)}")
 
 
-def cross_check(n: int) -> VerificationReport:
+def cross_check(n: int, known: dict | None = None) -> VerificationReport:
     """Compare each sequence's reference engine with every other engine that
-    has a cross-check label, at the reach of n tangent numbers."""
+    has a cross-check label, at the reach of n tangent numbers. Outputs in
+    known are taken out of it, not run, so none outlives its comparison."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    known = known or {}
+
+    def output(key, size):
+        return known.pop(key) if key in known else ENGINES[key].produce(size)[0]
+
     checks = []
+    labelled = [key for key, engine in ENGINES.items() if engine.label]
     for sequence, reach in REACH.items():
-        size = reach * n
-        reference, *others = [
-            engine
-            for (kind, _), engine in ENGINES.items()
-            if kind == sequence and engine.label
-        ]
-        expected = reference.produce(size)[0]
-        for engine in others:
-            checks.append(
-                _sequences_equal(
-                    f"{sequence}: {reference.label} vs {engine.label}",
-                    expected,
-                    engine.produce(size)[0],
-                )
-            )
+        reference, *others = [key for key in labelled if key[0] == sequence]
+        expected = output(reference, reach * n)
+        for key in others:
+            name = f"{sequence}: {ENGINES[reference].label} vs {ENGINES[key].label}"
+            checks.append(_sequences_equal(name, expected, output(key, reach * n)))
     return VerificationReport(n, tuple(checks))
 
 
@@ -410,13 +409,23 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
 
 
 def full_verification(n: int, precision: int | None = None) -> VerificationReport:
-    """Run every check family at size n; optionally add the float contrast."""
+    """Run every check family at size n; optionally add the float contrast.
+    Each engine runs once, and every family that reads its output shares it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    checks = list(cross_check(n).checks)
     row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
     tangent = row[:n]
     bernoulli = bernoulli_from_tangent(tangent)
+    known = {("tangent", "recurrence"): tangent, ("bernoulli", "recurrence"): bernoulli}
+    triangle_keys = ("tangent", "atkinson"), ("secant", "atkinson")
+    known.update(zip(triangle_keys, atkinson_tangent_secant(n)))  # one run, both lists
+    if n >= 2:  # one packed division feeds the cross-check and the k = n audit
+        params = fastfixed.packed_tangent_params(n)
+        known["tangent", "fast"] = fastfixed.tangent_blocks(params)
+        d, den = fastfixed.quotient_rounding_distance(params)
+        exact_miss = 100 * d >= 12 * den
+        del params, d, den  # no multi-Mbit int of the packed run outlives its audit
+    checks = list(cross_check(n, known).checks)
     evens = range(2, 2 * n + 1, 2)
 
     def staudt() -> Iterator[str]:
@@ -449,8 +458,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
             for k, (num, den) in enumerate(bounds, start=2):
                 if 100 * num >= 12 * den:
                     yield f"n={k}: closed form is not below 0.12"
-            d, den = quotient_rounding_distance(n)
-            if 100 * d >= 12 * den:
+            if exact_miss:
                 yield f"n={n}"
 
         proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"

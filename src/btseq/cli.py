@@ -152,6 +152,7 @@ def _emit_verify(args) -> tuple[int, list[str]]:
 
 
 def _emit_bench(args) -> tuple[int, list[str]]:
+    counts = ("additions", "multiplications", "loop_trips")  # OpCounters shown
     algorithms = None if args.algorithm == "all" else [args.algorithm]
     records = bench_suite(args.n, algorithms)
     if args.format == "json":
@@ -162,11 +163,7 @@ def _emit_bench(args) -> tuple[int, list[str]]:
                     "algorithm": r.algorithm,
                     "n": r.n,
                     "wall_time": r.wall_time,
-                    "additions": r.counters.additions if r.counters else None,
-                    "multiplications": r.counters.multiplications
-                    if r.counters
-                    else None,
-                    "loop_trips": r.counters.loop_trips if r.counters else None,
+                    **{k: getattr(r.counters, k, None) for k in counts},
                     "peak_value_bits": r.peak_value_bits,
                 }
                 for r in records
@@ -181,10 +178,7 @@ def _emit_bench(args) -> tuple[int, list[str]]:
     )
     lines = [header]
     for r in records:
-        c = r.counters
-        adds = str(c.additions) if c else "-"
-        mults = str(c.multiplications) if c else "-"
-        trips = str(c.loop_trips) if c else "-"
+        adds, mults, trips = (str(getattr(r.counters, k, "-")) for k in counts)
         lines.append(
             f"{r.algorithm:<12} {r.n:>6} {r.wall_time:>12.6f} {adds:>12} "
             f"{mults:>12} {trips:>12} {r.peak_value_bits:>10}"

@@ -54,12 +54,15 @@ def _scaled_series(n: int, p: int, terms: int, first: int) -> int:
     first = 0 gives cos(2**(-p)) and first = 1 gives sin(2**(-p)) * 2**p,
     each truncated to `terms` terms and scaled by (2n)! * 2**((2terms-2)p).
     """
-    total = 0
-    ratio = math.factorial(2 * n)  # (2n)!/(2k+first)!
+    blocks, ratio = [], math.factorial(2 * n)  # ratio = (2n)!/(2k+first)!
     for k in range(terms):
-        total = (total << (2 * p)) + (-ratio if k % 2 else ratio)
+        blocks.append(-ratio if k % 2 else ratio)
         ratio //= (2 * k + first + 1) * (2 * k + first + 2)
-    return total
+    while len(blocks) > 1:  # join neighbours from the bottom up: linear per level
+        blocks = [0] * (len(blocks) % 2) + blocks
+        blocks = [(hi << 2 * p) + lo for hi, lo in zip(blocks[::2], blocks[1::2])]
+        p *= 2  # the joined blocks are twice as wide
+    return blocks[0]
 
 
 def _read_blocks(packed: int, p: int, top: int) -> list[int]:
@@ -103,8 +106,12 @@ def fast_tangent_numbers(n: int, half_block_bits: int | None = None) -> TangentS
         raise ValueError("n must be >= 1")
     if n == 1:
         return [1]  # the packed form needs n >= 2, and T_1 is pinned anyway
-    params = packed_tangent_params(n, half_block_bits)
-    return _read_blocks(params.packed, params.half_block_bits, 2 * n - 1)
+    return tangent_blocks(packed_tangent_params(n, half_block_bits))
+
+
+def tangent_blocks(params: FixedPointParams) -> TangentSeq:
+    """[T_1..T_n] read off the blocks of a packed tangent quotient."""
+    return _read_blocks(params.packed, params.half_block_bits, 2 * params.n - 1)
 
 
 def packed_secant_value(n: int, half_block_bits: int | None = None) -> int:
@@ -135,23 +142,13 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
     return _read_blocks(packed_secant_value(n, p), p, 2 * n)
 
 
-def quotient_rounding_distance(n: int) -> tuple[int, int]:
-    """The packed quotient's distance from the unrounded ratio, as (d, den).
-
-    Rounding snaps to the true block sum when this distance is below 1/2;
-    the verify budget, covering the dropped series tail plus the sin and
-    cos truncation, is 0.12. verify proves that budget in closed form for
-    every size and runs this exact audit at its largest size only, where
-    it checks the engine's quotient itself.
-    The distance is exactly d/den, with
+def quotient_rounding_distance(params: FixedPointParams) -> tuple[int, int]:
+    """The packed quotient's distance from the unrounded ratio, as (d, den):
     d = |sin_scaled * 2**shift - packed * cos_scaled| and den = cos_scaled,
-    left unreduced so a budget can be decided by one integer comparison.
-    packed is the engine's own rounded quotient, so the audit adds one
-    multiply-back to the engine's work and no second division.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    params = packed_tangent_params(n)
+    unreduced, so a budget is one integer comparison. Rounding snaps to the
+    block sum below 1/2; verify's budget is 0.12, audited on the params of
+    the packed run its cross-check read. packed is multiplied back: no
+    second division, and no remainder of the first."""
     shift = (2 * params.n - 2) * params.half_block_bits
     d = abs((params.sin_scaled << shift) - params.packed * params.cos_scaled)
     return d, params.cos_scaled

@@ -33,14 +33,11 @@ class OpCounters:
     """Per-invocation operation counts.
 
     additions and multiplications count big-integer operations;
-    init_multiplications is the subset of multiplications spent filling the
-    row before the main loop, so the main-loop total is the difference.
     loop_trips counts inner-loop iterations.
     """
 
     additions: int = 0
     multiplications: int = 0
-    init_multiplications: int = 0
     loop_trips: int = 0
 
 
@@ -104,7 +101,8 @@ def bernoulli_from_tangent(tangent: TangentSeq) -> BernoulliSeq:
     """Expand [T_1..T_n] into the full Bernoulli list [B_0..B_2n].
 
     B_{2k} = (-1)**(k-1) * k * T_k / (2**(2k-1) * (2**(2k) - 1)), with
-    B_0 = 1, B_1 = -1/2, and every other odd entry zero.
+    B_0 = 1, B_1 = -1/2, and every other odd entry zero. The power of two
+    comes off by a shift and only 2**(2k) - 1 takes a gcd: Fraction's is cheap.
     """
     n = len(tangent)
     values = [Fraction(0)] * (2 * n + 1)
@@ -113,8 +111,10 @@ def bernoulli_from_tangent(tangent: TangentSeq) -> BernoulliSeq:
         values[1] = Fraction(-1, 2)
     for k, t in enumerate(tangent, start=1):
         num = k * t if k % 2 else -k * t
-        den = (1 << (2 * k - 1)) * ((1 << (2 * k)) - 1)
-        values[2 * k] = Fraction(num, den)
+        twos = min((num & -num or 1).bit_length() - 1, 2 * k - 1)  # 0 at num = 0
+        num, odd = num >> twos, (1 << (2 * k)) - 1
+        g = math.gcd(num, odd)
+        values[2 * k] = Fraction(num // g, odd // g << (2 * k - 1 - twos))
     return values
 
 

@@ -61,14 +61,15 @@ def check_reciprocal(a: Sequence[int], b: Sequence[int], scale: int) -> None:
     """Verify sum_j a_j b_{m-j} = scale * [m == 0] for every m below len(b).
 
     Below len(b), every coefficient of a * b - scale is at most
-    bound = max|a| max|b| len(b) + |scale| < 10**width in magnitude, so the
+    bound = sum|a_j| max|b| + |scale| < 10**width in magnitude, so the
     packed difference is a multiple of 10**(len(b) width) only if all of
-    them are 0, and one product decides.
+    them are 0, and one product decides. The slots stay digits(a_0) wider
+    than the division's: for a wrong b_0, a_0 b_0 - scale reaches a_0 max|b|.
     """
     if not b:
         raise ValueError("reciprocal must have at least one coefficient")
     a = a[: len(b)] or (0,)
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(b) + abs(scale)
+    bound = sum(map(abs, a)) * max(map(abs, b)) + abs(scale)
     # 10**width >= 2**bits > bound, as log10(2) < 0.30103
     width = bound.bit_length() * 30103 // 100000 + 1
     rest = _EXACT.fma(_pack(a, width), _pack(b, width), -scale)

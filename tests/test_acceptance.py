@@ -104,7 +104,10 @@ def test_criterion_03_scaled_tangent_block_bounds():
 
 
 def test_criterion_04_quotient_rounding_budget():
-    worst = max(Fraction(*quotient_rounding_distance(n)) for n in range(2, 101))
+    worst = max(
+        Fraction(*quotient_rounding_distance(packed_tangent_params(n)))
+        for n in range(2, 101)
+    )
     record(
         4,
         f"packed-quotient distance < 0.12 for n = 2..100 (worst {float(worst):.4f})",

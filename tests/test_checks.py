@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,7 @@ from btseq.checks import (
     von_staudt_clausen,
 )
 from btseq.cli import run_cli
-from btseq.fastfixed import quotient_rounding_distance
+from btseq.fastfixed import packed_tangent_params, quotient_rounding_distance
 from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
 
@@ -397,6 +400,55 @@ class TestFullVerification:
         assert full_verification(130).all_pass
 
 
+class TestOneRunPerEngine:
+    """verify runs each engine it needs once and hands the output to every
+    family that reads it; nothing of a run is kept for the next."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = Counter()
+        packed = []  # weak references to every FixedPointParams made
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "packed_tangent_params":
+                    packed.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(fastfixed, "packed_tangent_params")
+        for module in (checks, engines):
+            count(module, "atkinson_tangent_secant")
+            count(module, "tangent_numbers")
+        return calls, packed
+
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_each_engine_once(self, counted, n):
+        calls, _ = counted
+        assert full_verification(n).all_pass
+        assert calls == Counter(
+            packed_tangent_params=1, atkinson_tangent_secant=1, tangent_numbers=1
+        )
+
+    def test_two_runs_divide_twice_and_keep_nothing(self, counted):
+        calls, packed = counted
+        for run in (1, 2):
+            assert full_verification(20).all_pass
+            assert calls["packed_tangent_params"] == run
+            gc.collect()
+            assert [ref() for ref in packed] == [None] * run
+
+    def test_n_one_runs_no_packed_division(self, counted):
+        calls, _ = counted
+        assert full_verification(1).all_pass
+        assert calls["packed_tangent_params"] == 0
+
+
 class TestRoundingBudget:
     def test_off_by_one_quotient_fails(self, capsys, monkeypatch):
         original = fastfixed.packed_tangent_params
@@ -445,7 +497,7 @@ class TestRoundingBudgetBound:
         # it must bound the engine's exact distance; at n = 2 that is 2/31
         # against a bound of 0.0721, and neither term alone reaches it
         for n, (num, den) in rounding_budget_bounds(150):
-            d, cos_scaled = quotient_rounding_distance(n)
+            d, cos_scaled = quotient_rounding_distance(packed_tangent_params(n))
             assert num * cos_scaled >= d * den, n
 
     def test_under_budget_through_a_thousand(self):

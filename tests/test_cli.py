@@ -14,6 +14,7 @@ import pytest
 
 import btseq.cli
 import btseq.engines
+import btseq.fastfixed
 from btseq.cli import run_cli
 from btseq.intops import IntegrityError
 from btseq.recurrences import (
@@ -241,21 +242,22 @@ class TestVerifyCommand:
         assert payload["all_pass"] is True
         assert all(check["passed"] for check in payload["checks"])
 
+    # verify reads the packed tangent values off its one packed run's params
     def test_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            btseq.engines, "fast_tangent_numbers", lambda n: [1] * n
+            btseq.fastfixed, "tangent_blocks", lambda params: [1] * params.n
         )
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
         assert "FAIL" in out
 
     def test_mismatch_past_digit_limit_exits_two(self, capsys, monkeypatch):
-        def wrong_last(n):
-            values = tangent_numbers(n)[0]
+        def wrong_last(params):
+            values = tangent_numbers(params.n)[0]
             values[-1] = 10**5000  # more digits than str() converts by default
             return values
 
-        monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", wrong_last)
+        monkeypatch.setattr(btseq.fastfixed, "tangent_blocks", wrong_last)
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
         assert (

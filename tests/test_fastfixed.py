@@ -70,6 +70,25 @@ class TestScaledSeries:
             packed_tangent_params(1)
 
 
+def scaled_series_by_one_shift_per_term(n, p, terms, first):
+    """The quadratic reference build: shift the running total once per term."""
+    total = 0
+    ratio = math.factorial(2 * n)
+    for k in range(terms):
+        total = (total << (2 * p)) + (-ratio if k % 2 else ratio)
+        ratio //= (2 * k + first + 1) * (2 * k + first + 2)
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_scaled_series_matches_the_shift_per_term_build(n):
+    p = least_half_block_bits(n)
+    for first in (0, 1):
+        for terms in (n, n + 1):
+            expected = scaled_series_by_one_shift_per_term(n, p, terms, first)
+            assert _scaled_series(n, p, terms, first) == expected, (first, terms)
+
+
 class TestFastTangent:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 33, 64])
     def test_matches_row_engine(self, n):
@@ -124,31 +143,27 @@ class TestFastSecant:
             fast_secant_numbers(-1)
 
 
+def audited_distance(n):
+    return Fraction(*quotient_rounding_distance(packed_tangent_params(n)))
+
+
 class TestQuotientAudit:
     def test_n2_exact_distance(self):
         # 36480/372 = 98 + 24/372, so the rounded quotient sits 2/31 away
-        assert Fraction(*quotient_rounding_distance(2)) == Fraction(2, 31)
+        assert audited_distance(2) == Fraction(2, 31)
 
     @pytest.mark.parametrize("n", list(range(2, 41)))
     def test_distance_under_budget(self, n):
-        assert Fraction(*quotient_rounding_distance(n)) < Fraction(12, 100)
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            Fraction(*quotient_rounding_distance(1))
+        assert audited_distance(n) < Fraction(12, 100)
 
     @pytest.mark.parametrize("n", list(range(2, 41)))
     def test_integer_distance_matches_fraction(self, n):
         params = packed_tangent_params(n)
         shift = (2 * n - 2) * params.half_block_bits
         ratio = Fraction(params.sin_scaled << shift, params.cos_scaled)
-        d, den = quotient_rounding_distance(n)
+        d, den = quotient_rounding_distance(params)
         assert den == params.cos_scaled
         assert Fraction(d, den) == abs(ratio - params.packed)
-
-    def test_integer_distance_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            quotient_rounding_distance(1)
 
 
 class TestRecursiveDivisionSize:
@@ -162,7 +177,7 @@ class TestRecursiveDivisionSize:
         assert fast_secant_numbers(300) == secant_numbers(300)[0]
 
     def test_distance_under_budget(self):
-        d, den = quotient_rounding_distance(300)
+        d, den = quotient_rounding_distance(packed_tangent_params(300))
         assert 100 * d < 12 * den
 
 
