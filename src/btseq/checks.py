@@ -54,38 +54,31 @@ def pi_bounds(bits: int = 256) -> tuple[int, int, int]:
     """Integers (lo, hi, shift) with lo / 2**shift < pi < hi / 2**shift and
     (hi - lo) / 2**shift below 2**-bits; shift is bits + 8.
 
-    Machin's identity pi = 16 atan(1/5) - 4 atan(1/239). Each arctangent
-    series alternates with strictly shrinking terms, so the partial sum and
-    the first omitted term bracket the true value. The two brackets leave
-    a width under 20 grid steps of 2**-shift; rounding each end outward
-    onto that grid adds at most two more and keeps both bounds short
-    (about bits + 10 bits), so a caller raises them to the 2n-th power in
-    integers and folds the grid into one shift.
+    Machin's identity pi = 16 atan(1/5) - 4 atan(1/239) in fixed point,
+    one = 2**(shift + guard): each sum adds the alternating floored terms
+    one // ((2k+1) x**(2k+1)) until one is 0. A floor loses under 1 and the
+    dropped tail is under the zero term's true value, so K terms are within
+    K + 1 units of one * atan(1/x). That counted error, 16 (K5 + 1) +
+    4 (K239 + 1), is under half a grid step, so rounding its ends outward
+    leaves at most 2 steps of 2**-shift. Both bounds stay short (about
+    bits + 10 bits): a caller raises them to the 2n-th power in integers
+    and folds the grid into one shift.
     """
-    grid = bits + 8
-    threshold = Fraction(1, 1 << grid)
+    shift = bits + 8
+    guard = shift.bit_length() + 8
 
-    def atan_inv_bounds(x: int) -> tuple[Fraction, Fraction]:
-        total = Fraction(0)
-        k = 0
-        power = x  # x**(2k+1)
-        while True:
-            term = Fraction(1, (2 * k + 1) * power)
-            if term < threshold:
-                break
+    def atan_inv(x: int) -> tuple[int, int]:
+        """The floored sum for atan(1/x) and its error bound, in units."""
+        total, k = 0, 0
+        power = (1 << (shift + guard)) // x  # one // x**(2k+1): nested floors agree
+        while term := power // (2 * k + 1):
             total += -term if k % 2 else term
-            k += 1
-            power *= x * x
-        if k % 2:  # first omitted term is negative, so total sits above
-            return total - term, total
-        return total, total + term
+            k, power = k + 1, power // (x * x)
+        return total, k + 1
 
-    lo5, hi5 = atan_inv_bounds(5)
-    lo239, hi239 = atan_inv_bounds(239)
-    lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
-    lo_steps = (lo.numerator << grid) // lo.denominator  # floor
-    hi_steps = -((-hi.numerator << grid) // hi.denominator)  # ceiling
-    return lo_steps, hi_steps, grid
+    (s5, e5), (s239, e239) = atan_inv(5), atan_inv(239)
+    mid, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return (mid - err) >> guard, -(-(mid + err) >> guard), shift
 
 
 @lru_cache(maxsize=None)
@@ -413,6 +406,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     Each engine runs once, and every family that reads its output shares it."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if precision is not None and precision < 24:  # before any engine runs
+        raise ValueError("precision must be at least 24 bits")
     row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
     tangent = row[:n]
     bernoulli = bernoulli_from_tangent(tangent)

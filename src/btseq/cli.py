@@ -35,6 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_from(least: int):
+    """An argparse type for an int >= least. It is named int, so a
+    non-integer keeps argparse's "invalid int value" message."""
+
+    def check(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        return value
+
+    check.__name__ = "int"
+    return check
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="btseq",
@@ -42,6 +56,7 @@ def build_parser() -> _Parser:
         "independent cross-checked engines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_from(1)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -52,7 +67,7 @@ def build_parser() -> _Parser:
     for name, (text, _) in _SEQUENCES.items():
         engines = engine_names(name)
         p = sub.add_parser(name, help=text)
-        p.add_argument("-n", type=int, required=True, help="largest index")
+        p.add_argument("-n", type=positive, required=True, help="largest index")
         p.add_argument(
             "--algorithm",
             choices=[*engines, "all"],
@@ -62,18 +77,16 @@ def build_parser() -> _Parser:
         add_common(p)
 
     p = sub.add_parser("verify", help="run every consistency and identity check")
-    p.add_argument("-n", type=int, required=True, help="size the checks run at")
+    p.add_argument("-n", type=positive, required=True, help="size the checks run at")
     p.add_argument(
         "--precision",
-        type=int,
+        type=_int_from(24),
         help="also contrast the fixed-precision recurrences at this many bits",
     )
     add_common(p)
 
     p = sub.add_parser("bench", help="time the engines and report op counts")
-    p.add_argument(
-        "-n", type=int, nargs="+", required=True, help="one or more sizes (each >= 2)"
-    )
+    p.add_argument("-n", type=_int_from(2), nargs="+", required=True, help="sizes >= 2")
     p.add_argument(
         "--algorithm", choices=tuple(ALGORITHMS) + ("all",), default="all"
     )
@@ -188,17 +201,6 @@ def _emit_bench(args) -> tuple[int, list[str]]:
     return 0, ["\n".join(lines) + "\n"]
 
 
-def _check_usage(args) -> None:
-    if args.command == "bench":
-        if min(args.n) < 2:
-            raise _UsageError("benchmark sizes must be >= 2")
-    elif args.n < 1:
-        raise _UsageError("-n must be >= 1")
-    elif args.command == "verify" and args.precision is not None:
-        if args.precision < 24:
-            raise _UsageError("--precision must be >= 24")
-
-
 def _open_output(path: str | None):
     """The output stream, opened before any work runs, as a shell's > does."""
     if not path:
@@ -222,7 +224,6 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
     try:
-        _check_usage(args)
         with _open_output(args.output) as out:
             code, chunks = _EMITTERS.get(args.command, _emit_sequence)(args)
             with _any_int_size():  # the lines are formatted as they are written

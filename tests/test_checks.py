@@ -40,6 +40,30 @@ PI_100 = Fraction(
 )
 
 
+def machin_fraction_bounds(bits):
+    """The reference bracket: both Machin arctangent series in Fraction
+    arithmetic, each bracketed by its partial sum and first omitted term,
+    with both ends rounded outward onto the grid 2**-(bits + 8)."""
+    grid = bits + 8
+    threshold = Fraction(1, 1 << grid)
+
+    def atan_inv_bounds(x):
+        total, k, power = Fraction(0), 0, x  # power = x**(2k+1)
+        while (term := Fraction(1, (2 * k + 1) * power)) >= threshold:
+            total += -term if k % 2 else term
+            k, power = k + 1, power * x * x
+        if k % 2:  # first omitted term is negative, so total sits above
+            return total - term, total
+        return total, total + term
+
+    lo5, hi5 = atan_inv_bounds(5)
+    lo239, hi239 = atan_inv_bounds(239)
+    lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    lo_steps = (lo.numerator << grid) // lo.denominator  # floor
+    hi_steps = -((-hi.numerator << grid) // hi.denominator)  # ceiling
+    return lo_steps, hi_steps, grid
+
+
 def pi_fractions(bits=256):
     lo, hi, shift = pi_bounds(bits)
     return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
@@ -87,12 +111,31 @@ class TestPiBounds:
         assert lo < PI_REFERENCE < hi
         assert hi - lo < Fraction(1, 2**64)
 
-    @pytest.mark.parametrize("bits", [32, 64, 256, 283])
+    @pytest.mark.parametrize("bits", range(1, 300))
     def test_dyadic_enclosure(self, bits):
-        assert pi_bounds(bits)[2] == bits + 8
+        lo_steps, hi_steps, shift = pi_bounds(bits)
+        assert shift == bits + 8
+        assert hi_steps - lo_steps <= 2  # grid steps; 2**-bits is 2**8 of them
         lo, hi = pi_fractions(bits)
         assert lo < PI_100 and PI_100 + Fraction(1, 10**100) < hi
-        assert hi - lo < Fraction(1, 2**bits)
+
+    def test_reference_keeps_its_contract(self):
+        lo, hi, shift = machin_fraction_bounds(283)
+        assert shift == 291 and hi - lo < 1 << 8
+        assert Fraction(lo, 1 << shift) < PI_100
+        assert PI_100 + Fraction(1, 10**100) < Fraction(hi, 1 << shift)
+
+    @pytest.mark.parametrize("bits", [500, 1026, 2020, 4000])
+    def test_overlaps_the_fraction_reference(self, bits):
+        lo, hi, shift = pi_bounds(bits)
+        ref_lo, ref_hi, ref_shift = machin_fraction_bounds(bits)
+        assert shift == ref_shift
+        assert max(lo, ref_lo) < min(hi, ref_hi)
+        assert hi - lo <= 2
+
+    def test_builds_no_fraction(self, monkeypatch):
+        monkeypatch.setattr(checks, "Fraction", None)  # any use would raise
+        assert checks.pi_bounds.__wrapped__(100)[2] == 108
 
 
 class TestCrossCheck:
@@ -393,6 +436,47 @@ class TestFullVerification:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             full_verification(0)
+
+    def test_rejects_thin_precision_before_any_engine(self, monkeypatch):
+        calls = Counter()
+        original = checks.tangent_numbers
+
+        def counted(*args):
+            calls["tangent_numbers"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(checks, "tangent_numbers", counted)
+        with pytest.raises(ValueError, match="precision"):
+            full_verification(40, precision=23)
+        assert calls["tangent_numbers"] == 0
+        assert full_verification(2, precision=24).all_pass
+        assert calls["tangent_numbers"] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_hand_built_outputs_match_the_engine_table(self, monkeypatch, n):
+        # full_verification builds some engine outputs itself and hands them
+        # to cross_check; each must stay what the table's engine produces
+        handed = []
+        original = checks.cross_check
+
+        def recording(n, known=None):
+            handed.append({key: list(values) for key, values in known.items()})
+            return original(n, known)
+
+        monkeypatch.setattr(checks, "cross_check", recording)
+        assert full_verification(n).all_pass
+        (known,) = handed
+        expected_keys = {
+            ("tangent", "recurrence"),
+            ("bernoulli", "recurrence"),
+            ("tangent", "atkinson"),
+            ("secant", "atkinson"),
+        }
+        if n >= 2:
+            expected_keys.add(("tangent", "fast"))
+        assert set(known) == expected_keys
+        for key, values in known.items():
+            assert values == engines.ENGINES[key].produce(engines.REACH[key[0]] * n)[0]
 
     def test_whole_battery_past_128(self):
         # 130 > 128: the pi precision grows past 256 bits, and the rounding

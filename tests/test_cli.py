@@ -293,6 +293,38 @@ class TestUsageErrors:
         assert err.startswith("usage error: ")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("tangent", "-n", "0"), "argument -n: must be >= 1"),
+            (("verify", "-n", "-3"), "argument -n: must be >= 1"),
+            (("bench", "-n", "5", "1"), "argument -n: must be >= 2"),
+            (
+                ("verify", "-n", "3", "--precision", "23"),
+                "argument --precision: must be >= 24",
+            ),
+            (("secant", "-n", "x"), "argument -n: invalid int value: 'x'"),
+            (("bench", "-n", "2", "2.5"), "argument -n: invalid int value: '2.5'"),
+            (
+                ("verify", "-n", "3", "--precision", "y"),
+                "argument --precision: invalid int value: 'y'",
+            ),
+        ],
+    )
+    def test_argparse_checks_every_range_before_output_opens(
+        self, capsys, tmp_path, argv, message
+    ):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert err.endswith(f"usage error: {message}\n")
+        assert out == ""
+        assert not target.exists()
+
+    def test_least_sizes_are_accepted(self, capsys):
+        assert run(capsys, "tangent", "-n", "1")[0] == 0
+        assert run(capsys, "verify", "-n", "2", "--precision", "24")[0] == 0
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
