@@ -111,13 +111,23 @@ def _sequences_equal(name: str, left, right) -> CheckResult:
     return CheckResult(name, False, f"lengths differ: {len(left)} != {len(right)}")
 
 
+def _references(tangent: TangentSeq) -> dict:
+    """The tangent and Bernoulli references from one row [T_1..T_n]: the
+    table's Bernoulli reference is the conversion of its tangent reference."""
+    bernoulli = bernoulli_from_tangent(tangent)
+    return {("tangent", "recurrence"): tangent, ("bernoulli", "recurrence"): bernoulli}
+
+
 def cross_check(n: int, known: dict | None = None) -> VerificationReport:
     """Compare each sequence's reference engine with every other engine that
     has a cross-check label, at the reach of n tangent numbers. Outputs in
-    known are taken out of it, not run, so none outlives its comparison."""
+    known are taken out of it, not run, so none outlives its comparison.
+    Without known, one tangent reference run also feeds the Bernoulli
+    reference; every other entry is run from the table."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    known = known or {}
+    if known is None:
+        known = _references(ENGINES["tangent", "recurrence"].produce(n)[0])
 
     def output(key, size):
         return known.pop(key) if key in known else ENGINES[key].produce(size)[0]
@@ -410,16 +420,16 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         raise ValueError("precision must be at least 24 bits")
     row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
     tangent = row[:n]
-    bernoulli = bernoulli_from_tangent(tangent)
-    known = {("tangent", "recurrence"): tangent, ("bernoulli", "recurrence"): bernoulli}
+    known = _references(tangent)
+    bernoulli = known["bernoulli", "recurrence"]
     triangle_keys = ("tangent", "atkinson"), ("secant", "atkinson")
     known.update(zip(triangle_keys, atkinson_tangent_secant(n)))  # one run, both lists
     if n >= 2:  # one packed division feeds the cross-check and the k = n audit
-        params = fastfixed.packed_tangent_params(n)
-        known["tangent", "fast"] = fastfixed.tangent_blocks(params)
-        d, den = fastfixed.quotient_rounding_distance(params)
+        quotient = fastfixed.packed_tangent_params(n)
+        known["tangent", "fast"] = fastfixed.read_blocks(quotient)
+        d, den = fastfixed.quotient_rounding_distance(quotient)
         exact_miss = 100 * d >= 12 * den
-        del params, d, den  # no multi-Mbit int of the packed run outlives its audit
+        del quotient, d, den  # no multi-Mbit int of the packed run outlives its audit
     checks = list(cross_check(n, known).checks)
     evens = range(2, 2 * n + 1, 2)
 

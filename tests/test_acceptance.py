@@ -205,11 +205,11 @@ def test_criterion_09_packing_identity():
         if manual != packed_tangent_params(n).packed:
             ok = False
     trace = packed_tangent_params(2)
-    hand = (trace.sin_scaled, trace.cos_scaled, trace.packed) == (2280, 372, 98)
+    hand = (trace.num, trace.den, trace.packed) == (2280, 372, 98)
     record(
         9,
         "independently packed blocks reproduce the quotient at n = 2, 10, 50; "
-        f"n = 2 trace = {trace.sin_scaled}/{trace.cos_scaled}/{trace.packed}",
+        f"n = 2 trace = {trace.num}/{trace.den}/{trace.packed}",
         ok and hand,
     )
 

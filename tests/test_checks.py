@@ -491,7 +491,7 @@ class TestOneRunPerEngine:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = Counter()
-        packed = []  # weak references to every FixedPointParams made
+        packed = []  # weak references to every PackedQuotient made
 
         def count(module, name):
             original = getattr(module, name)
@@ -517,6 +517,16 @@ class TestOneRunPerEngine:
         assert full_verification(n).all_pass
         assert calls == Counter(
             packed_tangent_params=1, atkinson_tangent_secant=1, tangent_numbers=1
+        )
+
+    def test_cross_check_alone_runs_the_tangent_row_once(self, counted):
+        # the tangent reference row also feeds the Bernoulli reference; the
+        # two triangle entries are run from the table, so a replaced entry
+        # is still the one compared
+        calls, _ = counted
+        assert cross_check(50).all_pass
+        assert calls == Counter(
+            packed_tangent_params=1, atkinson_tangent_secant=2, tangent_numbers=1
         )
 
     def test_two_runs_divide_twice_and_keep_nothing(self, counted):
@@ -581,8 +591,8 @@ class TestRoundingBudgetBound:
         # it must bound the engine's exact distance; at n = 2 that is 2/31
         # against a bound of 0.0721, and neither term alone reaches it
         for n, (num, den) in rounding_budget_bounds(150):
-            d, cos_scaled = quotient_rounding_distance(packed_tangent_params(n))
-            assert num * cos_scaled >= d * den, n
+            d, d_den = quotient_rounding_distance(packed_tangent_params(n))
+            assert num * d_den >= d * den, n
 
     def test_under_budget_through_a_thousand(self):
         for n, (num, den) in rounding_budget_bounds(1000):

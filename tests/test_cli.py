@@ -242,22 +242,22 @@ class TestVerifyCommand:
         assert payload["all_pass"] is True
         assert all(check["passed"] for check in payload["checks"])
 
-    # verify reads the packed tangent values off its one packed run's params
+    # verify reads the packed values through the one block reader
     def test_failure_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            btseq.fastfixed, "tangent_blocks", lambda params: [1] * params.n
-        )
+        monkeypatch.setattr(btseq.fastfixed, "read_blocks", lambda q: [1] * q.n)
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
         assert "FAIL" in out
 
     def test_mismatch_past_digit_limit_exits_two(self, capsys, monkeypatch):
-        def wrong_last(params):
-            values = tangent_numbers(params.n)[0]
+        original = btseq.fastfixed.read_blocks
+
+        def wrong_last(q):
+            values = original(q)
             values[-1] = 10**5000  # more digits than str() converts by default
             return values
 
-        monkeypatch.setattr(btseq.fastfixed, "tangent_blocks", wrong_last)
+        monkeypatch.setattr(btseq.fastfixed, "read_blocks", wrong_last)
         code, out, _ = run(capsys, "verify", "-n", "5")
         assert code == 2
         assert (

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import btseq.fastfixed as fastfixed
 from btseq.fastfixed import (
     _scaled_series,
     fast_secant_numbers,
     fast_tangent_numbers,
     least_half_block_bits,
-    packed_secant_value,
+    packed_secant_params,
     packed_tangent_params,
     quotient_rounding_distance,
 )
@@ -42,8 +43,9 @@ class TestScaledSeries:
         # cos: 4!/0! * 2**(2p) - 4!/2! = 384 - 12 = 372
         params = packed_tangent_params(2)
         assert params.half_block_bits == 2
-        assert params.sin_scaled == 2280
-        assert params.cos_scaled == 372
+        assert params.num == 2280
+        assert params.den == 372
+        assert (params.top, params.shift) == (3, 4)  # top block 3!, shift (2n-2)p
 
     def test_n2_packed_by_hand(self):
         # V = round(2280 * 2**(2p) / 372) = round(36480/372) = round(98.06) = 98
@@ -56,18 +58,47 @@ class TestScaledSeries:
         # (2n)! * 2**((2n-2)p); the true value is just under the scale
         params = packed_tangent_params(n)
         scale = math.factorial(2 * n) * 2 ** ((2 * n - 2) * params.half_block_bits)
-        assert 0 < params.cos_scaled <= scale
-        assert Fraction(params.cos_scaled, scale) > Fraction(9, 10)
+        assert 0 < params.den <= scale
+        assert Fraction(params.den, scale) > Fraction(9, 10)
 
     def test_explicit_block_width_override(self):
         default = packed_tangent_params(4)
         wider = packed_tangent_params(4, default.half_block_bits + 3)
         assert wider.half_block_bits == default.half_block_bits + 3
-        assert wider.sin_scaled != default.sin_scaled
+        assert wider.num != default.num
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            packed_tangent_params(1)
+        for build in packed_tangent_params, packed_secant_params:
+            with pytest.raises(ValueError):
+                build(1)
+
+
+class TestBadWidths:
+    """A width below least_half_block_bits(n) is outside the packing proof:
+    both families refuse it as a bad argument before dividing, not as an
+    IntegrityError of the reader or a negative shift count."""
+
+    @pytest.fixture(autouse=True)
+    def no_division(self, monkeypatch):
+        def divided(num, den):
+            raise AssertionError("divided at a refused width")
+
+        monkeypatch.setattr(fastfixed, "round_nearest_div", divided)
+
+    @pytest.mark.parametrize("p", [-1, 0, 3])
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            fast_tangent_numbers,
+            fast_secant_numbers,
+            packed_tangent_params,
+            packed_secant_params,
+        ],
+    )
+    def test_narrow_width_is_a_usage_error(self, engine, p):
+        assert least_half_block_bits(5) == 12
+        with pytest.raises(ValueError, match="half_block_bits must be at least 12"):
+            engine(5, p)
 
 
 def scaled_series_by_one_shift_per_term(n, p, terms, first):
@@ -114,13 +145,14 @@ class TestFastSecant:
     def test_n2_packed_by_hand(self):
         # cos with the extra term: 24*2**(4p) - 12*2**(2p) + 1 = 6144-192+1
         # = 5953; V = round(24*24*2**(8p)/5953) = round(37748736/5953) = 6341
-        assert _scaled_series(2, 2, 3, 0) == 5953
-        assert packed_secant_value(2) == 6341
+        q = packed_secant_params(2)
+        assert (q.top, q.num, q.den, q.shift) == (4, 576, 5953, 16)
+        assert q.packed == 6341
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 24])
     def test_block_sizes(self, n):
         p = least_half_block_bits(n)
-        packed = packed_secant_value(n)
+        packed = packed_secant_params(n).packed
         f2n = math.factorial(2 * n)
         # the top block holds exactly (2n)!, which may exceed 2p bits
         assert packed >> (2 * n * p) == f2n
@@ -158,12 +190,23 @@ class TestQuotientAudit:
 
     @pytest.mark.parametrize("n", list(range(2, 41)))
     def test_integer_distance_matches_fraction(self, n):
-        params = packed_tangent_params(n)
-        shift = (2 * n - 2) * params.half_block_bits
-        ratio = Fraction(params.sin_scaled << shift, params.cos_scaled)
-        d, den = quotient_rounding_distance(params)
-        assert den == params.cos_scaled
-        assert Fraction(d, den) == abs(ratio - params.packed)
+        for q in packed_tangent_params(n), packed_secant_params(n):
+            ratio = Fraction(q.num << q.shift, q.den)
+            d, den = quotient_rounding_distance(q)
+            assert den == q.den
+            assert Fraction(d, den) == abs(ratio - q.packed)
+
+    def test_secant_n2_exact_distance(self):
+        # 576 * 2**16 = 6341 * 5953 + 763: the 0.1281 that the tangent's
+        # 0.12 budget would not cover
+        d, den = quotient_rounding_distance(packed_secant_params(2))
+        assert Fraction(d, den) == Fraction(763, 5953)
+        assert 0.1281 < d / den < 0.1282
+
+    def test_secant_distance_under_a_quarter(self):
+        for n in range(2, 151):
+            d, den = quotient_rounding_distance(packed_secant_params(n))
+            assert 4 * d < den, n
 
 
 class TestRecursiveDivisionSize:
