@@ -101,14 +101,15 @@ def _bits(value) -> str:
     return f"{num}-bit" if den == 1 else f"{num}/{den}-bit"
 
 
-def _sequences_equal(name: str, left, right) -> CheckResult:
+def _mismatches(left, right) -> Iterator[str]:
+    """Witnesses that two outputs differ: each differing position, then the
+    length mismatch. Equal outputs yield none after one whole-list ==."""
     if list(left) == list(right):
-        return CheckResult(name, True)
+        return
     for index, (a, b) in enumerate(zip(left, right)):
         if a != b:
-            witness = f"position {index}: a {_bits(a)} value != a {_bits(b)} value"
-            return CheckResult(name, False, witness)
-    return CheckResult(name, False, f"lengths differ: {len(left)} != {len(right)}")
+            yield f"position {index}: a {_bits(a)} value != a {_bits(b)} value"
+    yield f"lengths differ: {len(left)} != {len(right)}"
 
 
 def _references(tangent: TangentSeq) -> dict:
@@ -136,10 +137,11 @@ def cross_check(n: int, known: dict | None = None) -> VerificationReport:
     labelled = [key for key, engine in ENGINES.items() if engine.label]
     for sequence, reach in REACH.items():
         reference, *others = [key for key in labelled if key[0] == sequence]
-        expected = output(reference, reach * n)
+        size = reach * n
+        expected = output(reference, size)
         for key in others:
             name = f"{sequence}: {ENGINES[reference].label} vs {ENGINES[key].label}"
-            checks.append(_sequences_equal(name, expected, output(key, reach * n)))
+            checks.append(_first_miss(name, _mismatches(expected, output(key, size))))
     return VerificationReport(n, tuple(checks))
 
 
@@ -219,7 +221,8 @@ def _zeta_miss(n: int, lo_num: int, hi_num: int, den: int) -> str | None:
 
 def _first_miss(name: str, misses: Iterable, passed: str | None = None) -> CheckResult:
     """Check `name`, failed by the first witness that misses yields (None for
-    an index that holds); read lazily, so a family stops at its first miss."""
+    an index that holds); read lazily, so a family stops at its first miss.
+    A pass carries `passed` as its witness. Every CheckResult is built here."""
     witness = next(filter(None, misses), None)
     return CheckResult(name, witness is None, witness or passed)
 
@@ -253,23 +256,13 @@ def size_checks(
     checks = [_first_miss("tangent coefficient bound", coefficient_misses())]
     if n >= 2:
         gap = tangent[-1].bit_length() - int(abs(bernoulli[2 * n])).bit_length()
-        slack = 16 * math.log2(n)
-        ok = 4 * n - slack <= gap <= 4 * n + slack
-        checks.append(
-            CheckResult(
-                "tangent vs bernoulli bit gap",
-                ok,
-                None if ok else f"gap={gap} outside 4n +- 16 lg n at n={n}",
-            )
-        )
+        ok = abs(gap - 4 * n) <= 16 * math.log2(n)
+        miss = None if ok else f"gap={gap} outside 4n +- 16 lg n at n={n}"
+        checks.append(_first_miss("tangent vs bernoulli bit gap", [miss]))
     if n >= 50:
         ratio = tangent[-1].bit_length() / (2 * n * math.log2(n))
-        ok = 0.8 <= ratio <= 1.2
-        checks.append(
-            CheckResult(
-                "tangent bit growth rate", ok, None if ok else f"ratio={ratio:.3f}"
-            )
-        )
+        miss = None if 0.8 <= ratio <= 1.2 else f"ratio={ratio:.3f}"
+        checks.append(_first_miss("tangent bit growth rate", [miss]))
     return tuple(checks)
 
 
@@ -294,6 +287,7 @@ def fermat_denominator_check(m: int, b: Fraction) -> bool:
 
 
 TAIL_TERMS = 5  # explicit terms of each packed-quotient tail
+_BUDGET = Fraction(3, 25)  # 0.12, the packed tangent quotient's rounding budget
 
 
 def tangent_tail_audit(tangent: TangentSeq) -> list[bool]:
@@ -378,22 +372,16 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     exact = bernoulli_from_tangent(tangent_numbers(40)[0])  # B_0..B_80
     unstable = bernoulli_float_unstable(60, precision)
     low_worst = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))
-    checks = [
-        CheckResult(
-            "unstable recurrence accurate through index 20",
-            low_worst < Fraction(1, 10**8) * scale,
-            f"worst relative error {float(low_worst):.3e}",
-        )
-    ]
+    error = f"worst relative error {float(low_worst):.3e}"  # PASS and FAIL alike
+    miss = None if low_worst < Fraction(1, 10**8) * scale else error
+    name = "unstable recurrence accurate through index 20"
+    checks = [_first_miss(name, [miss], error)]
     if precision <= 56:
         err_60 = abs(unstable[60] / exact[60] - 1)
-        checks.append(
-            CheckResult(
-                "unstable recurrence breaks down by index 60",
-                err_60 > 1,
-                f"relative error {float(err_60):.3e}",
-            )
-        )
+        error = f"relative error {float(err_60):.3e}"
+        miss = None if err_60 > 1 else error
+        name = "unstable recurrence breaks down by index 60"
+        checks.append(_first_miss(name, [miss], error))
     stable = scaled_bernoulli_stable(40, precision)
     worst = Fraction(0)
     factorial = 1  # (2k)!
@@ -401,13 +389,9 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
         if k:
             factorial *= (2 * k - 1) * (2 * k)
         worst = max(worst, abs(stable[k] * factorial / exact[2 * k] - 1))
-    checks.append(
-        CheckResult(
-            "scaled recurrence accurate through C_40",
-            worst < Fraction(1, 10**12) * scale,
-            f"worst relative error {float(worst):.3e}",
-        )
-    )
+    error = f"worst relative error {float(worst):.3e}"
+    miss = None if worst < Fraction(1, 10**12) * scale else error
+    checks.append(_first_miss("scaled recurrence accurate through C_40", [miss], error))
     return tuple(checks)
 
 
@@ -424,11 +408,12 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     bernoulli = known["bernoulli", "recurrence"]
     triangle_keys = ("tangent", "atkinson"), ("secant", "atkinson")
     known.update(zip(triangle_keys, atkinson_tangent_secant(n)))  # one run, both lists
+    top, bottom = _BUDGET.as_integer_ratio()  # so each budget test is in integers
     if n >= 2:  # one packed division feeds the cross-check and the k = n audit
         quotient = fastfixed.packed_tangent_params(n)
         known["tangent", "fast"] = fastfixed.read_blocks(quotient)
         d, den = fastfixed.quotient_rounding_distance(quotient)
-        exact_miss = 100 * d >= 12 * den
+        exact_miss = bottom * d >= top * den
         del quotient, d, den  # no multi-Mbit int of the packed run outlives its audit
     checks = list(cross_check(n, known).checks)
     evens = range(2, 2 * n + 1, 2)
@@ -457,12 +442,14 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
 
         # the closed form covers every k; one exact audit checks the engine
         bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
-        least = min(math.log2(12 * den) - math.log2(100 * num) for num, den in bounds)
+        least = min(
+            math.log2(top * den) - math.log2(bottom * num) for num, den in bounds
+        )
 
         def budget() -> Iterator[str]:
             for k, (num, den) in enumerate(bounds, start=2):
-                if 100 * num >= 12 * den:
-                    yield f"n={k}: closed form is not below 0.12"
+                if bottom * num >= top * den:
+                    yield f"n={k}: closed form is not below {float(_BUDGET)}"
             if exact_miss:
                 yield f"n={n}"
 

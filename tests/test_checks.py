@@ -157,18 +157,30 @@ class TestCrossCheck:
         monkeypatch.setattr(engines, "fast_secant_numbers", lambda n: [1])
         report = checks.cross_check(3)
         failed = [c for c in report.checks if not c.passed]
-        assert len(failed) == 1
-        assert "lengths differ" in failed[0].witness
+        assert failed == [
+            checks.CheckResult(
+                "secant: in-place vs packed-division", False, "lengths differ: 4 != 1"
+            )
+        ]
 
     def test_mismatch_past_digit_limit_gives_bit_lengths(self):
         # 10**5000 has too many digits for str(); the witness must not need it
-        result = checks._sequences_equal("x", [1, 10**5000], [1, 10**5000 + 1])
+        known = {
+            ("tangent", "recurrence"): [1, 10**5000],
+            ("tangent", "fast"): [1, 10**5000 + 1],
+        }
+        result = cross_check(2, known).checks[0]
         assert not result.passed
         assert result.witness == "position 1: a 16610-bit value != a 16610-bit value"
 
     def test_fraction_mismatch_gives_numerator_and_denominator_bits(self):
         big = Fraction(10**5000 + 1, 7)
-        result = checks._sequences_equal("x", [Fraction(1, 6)], [big])
+        known = {
+            ("bernoulli", "recurrence"): [Fraction(1, 6)],
+            ("bernoulli", "akiyama"): [big],
+        }
+        result = cross_check(1, known).checks[4]
+        assert result.name == "bernoulli: tangent route vs akiyama-tanigawa"
         assert result.witness == "position 0: a 1/3-bit value != a 16610/3-bit value"
 
     def test_rejects_n_zero(self):
@@ -301,6 +313,38 @@ class TestSizeChecks:
             "k=150: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
         )
 
+    def test_scaled_bernoulli_fails_the_bit_gap(self):
+        # B_100 raised by 2**200 closes the 4n-bit gap to T_50 almost to 0
+        tangent = tangent_numbers(50)[0]
+        bernoulli = bernoulli_from_tangent(tangent)
+        bernoulli[100] *= 2**200
+        assert size_checks(tangent, bernoulli)[1:] == (
+            checks.CheckResult(
+                "tangent vs bernoulli bit gap",
+                False,
+                "gap=-7 outside 4n +- 16 lg n at n=50",
+            ),
+            checks.CheckResult("tangent bit growth rate", True),
+        )
+
+    @pytest.mark.parametrize(
+        "t_50,gap,ratio",
+        [(lambda t: t << 400, 593, "1.513"), (lambda t: 1, -260, "0.002")],
+        ids=["inflated", "shrunk"],
+    )
+    def test_resized_last_value_fails_the_growth_rate(self, t_50, gap, ratio):
+        tangent = tangent_numbers(50)[0]
+        bernoulli = bernoulli_from_tangent(tangent)
+        tangent[-1] = t_50(tangent[-1])
+        assert size_checks(tangent, bernoulli)[1:] == (
+            checks.CheckResult(
+                "tangent vs bernoulli bit gap",
+                False,
+                f"gap={gap} outside 4n +- 16 lg n at n=50",
+            ),
+            checks.CheckResult("tangent bit growth rate", False, f"ratio={ratio}"),
+        )
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             size_checks([1], [Fraction(1)])
@@ -395,6 +439,63 @@ class TestStabilityContrast:
     def test_rejects_thin_precision(self):
         with pytest.raises(ValueError):
             stability_contrast(16)
+
+    def test_doubled_unstable_values_fail_the_low_accuracy_check(self, monkeypatch):
+        original = checks.bernoulli_float_unstable
+        monkeypatch.setattr(
+            checks,
+            "bernoulli_float_unstable",
+            lambda m, precision: [2 * value for value in original(m, precision)],
+        )
+        assert stability_contrast(53) == (
+            checks.CheckResult(
+                "unstable recurrence accurate through index 20",
+                False,
+                "worst relative error 1.000e+00",
+            ),
+            checks.CheckResult(
+                "unstable recurrence breaks down by index 60",
+                True,
+                "relative error 2.943e+02",
+            ),
+            checks.CheckResult(
+                "scaled recurrence accurate through C_40",
+                True,
+                "worst relative error 6.554e-16",
+            ),
+        )
+
+    def test_exact_unstable_values_fail_the_breakdown_check(self, monkeypatch):
+        exact = bernoulli_from_tangent(tangent_numbers(30)[0])
+        monkeypatch.setattr(
+            checks, "bernoulli_float_unstable", lambda m, precision: exact[: m + 1]
+        )
+        assert stability_contrast(53)[:2] == (
+            checks.CheckResult(
+                "unstable recurrence accurate through index 20",
+                True,
+                "worst relative error 0.000e+00",
+            ),
+            checks.CheckResult(
+                "unstable recurrence breaks down by index 60",
+                False,
+                "relative error 0.000e+00",
+            ),
+        )
+
+    def test_perturbed_stable_values_fail_the_scaled_check(self, monkeypatch):
+        original = checks.scaled_bernoulli_stable
+        factor = 1 + Fraction(1, 10**9)
+        monkeypatch.setattr(
+            checks,
+            "scaled_bernoulli_stable",
+            lambda n, precision: [factor * c for c in original(n, precision)],
+        )
+        assert stability_contrast(53)[2] == checks.CheckResult(
+            "scaled recurrence accurate through C_40",
+            False,
+            "worst relative error 1.000e-09",
+        )
 
 
 class TestFullVerification:
