@@ -178,6 +178,20 @@ def _zeta_pi_bits(n: int) -> int:
     return max(256, 2 * n + (2 * n).bit_length() + 16)
 
 
+def _outward_powers(base: int, bits: int, up: bool) -> Iterator[tuple[int, int]]:
+    """Yield (m, e) with m 2**e <= base**j (>= when up), m < 2**bits, for
+    j = 1, 2, ... A cut leaves `bits` bits, or bits - 1 when rounding up so
+    that the ceiling cannot carry out; so it moves the value by less than
+    2**(2-bits), relative, and j cuts by less than j 2**(3-bits) for
+    j < 2**(bits-2)."""
+    m, e = 1, 0
+    while True:
+        m *= base
+        cut = max(m.bit_length() + up - bits, 0)
+        m, e = -(-m >> cut) if up else m >> cut, e + cut
+        yield m, e
+
+
 def _zeta_enclosures(
     values: Iterable[Fraction], pi: tuple[int, int, int]
 ) -> Iterator[tuple[int, int, int]]:
@@ -187,19 +201,30 @@ def _zeta_enclosures(
     rho_k = |B_2k| (2 pi)**(2k) / (2 (2k)!) equals the zeta value at 2k, so
     for k >= 2 it lies strictly inside (1, 1 + 2**(1-2k)); pi_bounds at
     _zeta_pi_bits(k) bits is tight enough to decide that. pi is a pi_bounds
-    triple (lo, hi, shift). (2k)! and the powers of 2 lo and 2 hi are
-    running products and the grid is one shift of den, so each index costs
-    a few multiplications and no gcd.
+    triple (lo, hi, shift). (2k)! is a running product, and (2 lo)**(2k) and
+    (2 hi)**(2k) are _outward_powers cut to P = shift + 40 bits, so each
+    index costs a few short multiplications and no gcd. The k cuts widen the
+    enclosure by less than k 2**(3-P), relative: at _zeta_pi_bits(n), shift
+    >= 2k + lg(2k) + 24 for every k <= n, so that is below 2**(-2k-62),
+    and the exact enclosure clears both gaps, each at least 2**(-1-2k), by
+    more than 2**(-2k-8). An index whose short enclosure misses is decided,
+    and witnessed, on exact powers instead, so every result is the exact
+    enclosure's.
     """
     lo, hi, shift = pi
-    factorial, lo_power, hi_power = 2, 4 * lo * lo, 4 * hi * hi  # at k = 1
+    lo_powers = _outward_powers(4 * lo * lo, shift + 40, up=False)
+    hi_powers = _outward_powers(4 * hi * hi, shift + 40, up=True)
+    next(lo_powers), next(hi_powers)  # k = 1
+    factorial = 2
     for k, b in enumerate(values, start=2):
         factorial *= (2 * k - 1) * (2 * k)  # (2k)!
-        lo_power, hi_power = lo_power * 4 * lo * lo, hi_power * 4 * hi * hi
-        b = Fraction(b)
-        num = abs(b.numerator)
-        den = 2 * factorial * b.denominator << (2 * k * shift)
-        yield num * lo_power, num * hi_power, den
+        num, den, grid = abs(b.numerator), 2 * factorial * b.denominator, 2 * k * shift
+        (lo_m, lo_e), (hi_m, hi_e) = next(lo_powers), next(hi_powers)
+        low = min(lo_e, hi_e, grid)
+        ends = num * lo_m << lo_e - low, num * hi_m << hi_e - low, den << grid - low
+        if _zeta_miss(k, *ends):
+            ends = num * (2 * lo) ** (2 * k), num * (2 * hi) ** (2 * k), den << grid
+        yield ends
 
 
 def _zeta_miss(n: int, lo_num: int, hi_num: int, den: int) -> str | None:
@@ -233,7 +258,10 @@ def size_checks(
     """Growth-rate checks tying tangent sizes to Bernoulli sizes.
 
     (a) T_k / (2k-1)! <= (2/pi)**(2k-2) for every k, decided in integers with
-        the upper bound on pi (which can only make the check harder);
+        the upper bound on pi (which can only make the check harder) and
+        hi**(2k-2) rounded up to 64 bits, harder again by under k 2**-61: past
+        k = 1 (exact) true values sit 0.28 bits or more under the bound. A
+        miss is decided again on the exact power;
     (b) the bit-length gap between T_n and the integer part of B_2n is 4n
         up to a 16 lg n allowance (needs n >= 2 for the allowance to bite);
     (c) bit-length(T_n) stays within 20 percent of 2n lg n once n >= 50.
@@ -244,13 +272,15 @@ def size_checks(
     _, hi, shift = pi_bounds()
 
     def coefficient_misses() -> Iterator[str]:
-        hi_power = 1  # hi**(2k-2)
+        powers = itertools.chain([(1, 0)], _outward_powers(hi * hi, 64, up=True))
         factorial = 1  # (2k-1)!
-        for k in range(1, n + 1):
+        for k, (m, e) in zip(range(1, n + 1), powers):  # m 2**e >= hi**(2k-2)
             if k > 1:
-                hi_power *= hi * hi
                 factorial *= (2 * k - 2) * (2 * k - 1)
-            if tangent[k - 1] * hi_power > factorial << ((2 * k - 2) * (shift + 1)):
+            t, grid = tangent[k - 1], (2 * k - 2) * (shift + 1)
+            if t * m << max(e - grid, 0) > factorial << max(grid - e, 0) and (
+                t * hi ** (2 * k - 2) > factorial << grid
+            ):
                 yield f"k={k}: T_k exceeds (2k-1)! (2/pi)**(2k-2)"
 
     checks = [_first_miss("tangent coefficient bound", coefficient_misses())]
@@ -337,25 +367,27 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
     budget, and shrinks like (4/(pi e))**(2n).
 
-    (2n-1)! and the power of pi_lo are running products. pi is bracketed to
-    32 bits, which loosens (2/pi)**(2n) by less than a factor 1 + n 2**-32
-    and keeps the powers short.
+    (2n-1)! is a running product. pi is bracketed to 32 bits and pi_lo**(2n)
+    rounded down to 64 bits, which loosen (2/pi)**(2n) by less than a factor
+    1 + n 2**-31 and only raise the bound.
     """
     a, e, g = pi_bounds(32)  # pi_lo = a / 2**g, pi_hi = e / 2**g
-    factorial, pi_power = 1, a * a  # at k = 1
+    pi_powers = _outward_powers(a * a, 64, up=False)
+    next(pi_powers)  # k = 1
+    factorial = 1
     for k in itertools.count(2):
         factorial *= (2 * k - 2) * (2 * k - 1)  # (2k-1)!
-        pi_power *= a * a  # a**(2k)
+        pi_m, pi_e = next(pi_powers)  # pi_m 2**pi_e <= a**(2k)
         p = least_half_block_bits(k)
         # tail: (2k-1)! 2 zeta(6) (2/pi_lo)**(2k) u/(1-u), u = (2x/pi_lo)**2 and
-        # zeta(6) <= pi_hi**6/945, is tail_num * 2**shift / tail_den
-        tail_num = factorial * e**6
-        shift = 2 * k * (g + 1) + 2 * g + 3
-        tail_den = 945 * pi_power * ((a * a << (2 * p)) - (1 << (2 * g + 2))) << (6 * g)
+        # zeta(6) <= pi_hi**6/945, is at most tail_num / tail_den
+        shift = 2 * k * (g + 1) - 4 * g + 3 - pi_e
+        tail_num = factorial * e**6 << max(shift, 0)
+        tail_den = 945 * pi_m * ((a * a << (2 * p)) - (4 << 2 * g)) << max(-shift, 0)
         # truncation: x**2 (2k+2) / (2k (2k+1) (1 - x**2/2)**2)
         cut_num = (k + 1) << (2 * p + 2)
         cut_den = k * (2 * k + 1) * ((1 << (2 * p + 1)) - 1) ** 2
-        yield ((tail_num * cut_den) << shift) + cut_num * tail_den, tail_den * cut_den
+        yield tail_num * cut_den + cut_num * tail_den, tail_den * cut_den
 
 
 def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:

@@ -5,11 +5,14 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import btseq.checks as checks
 import btseq.engines as engines
@@ -76,6 +79,24 @@ def zeta_enclosure(n, values):
     enclosures = checks._zeta_enclosures(values[4::2], pi)
     lo_num, hi_num, den = next(itertools.islice(enclosures, n - 2, None))
     return Fraction(lo_num, den), Fraction(hi_num, den)
+
+
+@pytest.fixture(scope="module")
+def bernoulli_600():
+    """[B_0..B_600], shared by the witness tests."""
+    return bernoulli_from_tangent(tangent_numbers(300)[0])
+
+
+def zeta_result(values, index, value):
+    """The zeta family's result at size n = index/2 with B_index replaced by
+    value, from the enclosure stream and _first_miss as verify runs them."""
+    n = index // 2
+    values = values[: index + 1]
+    values[index] = value
+    pi = pi_bounds(checks._zeta_pi_bits(n))
+    enclosures = checks._zeta_enclosures(values[4::2], pi)
+    zeta = (checks._zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
+    return checks._first_miss("zeta ratio enclosure", zeta)
 
 
 def rounding_budget_bounds(last):
@@ -271,6 +292,85 @@ class TestZetaRatio:
         assert "missed by 2**(-" in zeta[0].witness
         assert "1.0, 1.0" not in zeta[0].witness
 
+    @pytest.mark.parametrize(
+        "index,factor,witness",
+        [
+            (
+                60,
+                1 + Fraction(1, 2**58),
+                "index 60: upper end is not below 1 + 2**(-59), missed by 2**(-58.42)",
+            ),
+            (
+                60,
+                1 - Fraction(1, 2**57),
+                "index 60: lower end is not above 1, missed by 2**(-57.19)",
+            ),
+            (
+                400,
+                1 + Fraction(1, 2**399),
+                "index 400: upper end is not below 1 + 2**(-399), missed by 2**(-400.00)",
+            ),
+            (
+                400,
+                1 - Fraction(1, 2**398),
+                "index 400: lower end is not above 1, missed by 2**(-398.42)",
+            ),
+            (
+                600,
+                1 + Fraction(1, 2**598),
+                "index 600: upper end is not below 1 + 2**(-599), missed by 2**(-598.42)",
+            ),
+        ],
+    )
+    def test_full_witness(self, bernoulli_600, index, factor, witness):
+        # B_index scaled up past 1 + 2**(1-index), or down below 1
+        result = zeta_result(bernoulli_600, index, bernoulli_600[index] * factor)
+        assert result == checks.CheckResult("zeta ratio enclosure", False, witness)
+
+    @pytest.mark.parametrize(
+        "end,witness",
+        [
+            (0, "lower end is not above 1, it meets the bound exactly"),
+            (1, "upper end is not below 1 + 2**(-59), it meets the bound exactly"),
+        ],
+    )
+    def test_witness_when_an_end_meets_its_bound(self, bernoulli_600, end, witness):
+        # B_60 chosen so that one end of the exact enclosure, with exact
+        # powers of the pi bounds, lands on its bound
+        lo, hi, shift = pi_bounds(checks._zeta_pi_bits(30))
+        target = (1, 1 + Fraction(1, 2**59))[end]
+        scale = 2 * math.factorial(60) << (60 * shift)
+        value = target * Fraction(scale, (2 * (lo, hi)[end]) ** 60)
+        assert zeta_result(bernoulli_600, 60, value) == checks.CheckResult(
+            "zeta ratio enclosure", False, f"index 60: {witness}"
+        )
+
+    def test_builds_no_fraction(self, bernoulli_600, monkeypatch):
+        monkeypatch.setattr(checks, "Fraction", None)  # any use would raise
+        enclosures = checks._zeta_enclosures(bernoulli_600[4:61:2], pi_bounds())
+        assert len(list(enclosures)) == 29
+
+    @pytest.mark.parametrize("n", [120, 300])
+    def test_short_enclosure_contains_the_exact_one(self, bernoulli_600, n):
+        # at the pi precision verify uses at n, every index k <= n is
+        # decided on short powers that widen each end by under 2**(-2k-8)
+        lo, hi, shift = pi = pi_bounds(checks._zeta_pi_bits(n))
+        enclosures = checks._zeta_enclosures(bernoulli_600[4 : 2 * n + 1 : 2], pi)
+        factorial, lo_power, hi_power = 2, 4 * lo * lo, 4 * hi * hi  # at k = 1
+        for k, (lo_num, hi_num, den) in enumerate(enclosures, start=2):
+            factorial *= (2 * k - 1) * (2 * k)
+            lo_power, hi_power = lo_power * 4 * lo * lo, hi_power * 4 * hi * hi
+            b = bernoulli_600[2 * k]
+            exact_den = 2 * factorial * b.denominator << (2 * k * shift)
+            exact_lo = abs(b.numerator) * lo_power * den
+            exact_hi = abs(b.numerator) * hi_power * den
+            # each end over the product den * exact_den
+            short_lo, short_hi = lo_num * exact_den, hi_num * exact_den
+            assert short_lo < exact_lo < exact_hi < short_hi, k
+            assert (exact_lo - short_lo) << (2 * k + 8) <= exact_lo, k
+            assert (short_hi - exact_hi) << (2 * k + 8) <= exact_hi, k
+        assert k == n
+
     @pytest.mark.parametrize("n", [128, 200])
     def test_enclosure_decided_past_256_bits(self, n):
         # the gap to either end is about 2**(-2n), beyond a 256-bit pi
@@ -311,6 +411,35 @@ class TestSizeChecks:
             "tangent coefficient bound",
             False,
             "k=150: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
+        )
+
+    def test_largest_value_under_the_bound_passes(self):
+        # T_50 raised to the largest integer the bound allows is within
+        # 2**-450 of it, relative, so the rounded-up short power misses it
+        # and the exact power decides; one more fails
+        tangent = tangent_numbers(50)[0]
+        bernoulli = bernoulli_from_tangent(tangent)
+        _, hi, shift = pi_bounds()
+        tangent[-1] = (math.factorial(99) << (98 * (shift + 1))) // hi**98
+        assert size_checks(tangent, bernoulli)[0].passed
+        tangent[-1] += 1
+        assert size_checks(tangent, bernoulli)[0] == checks.CheckResult(
+            "tangent coefficient bound",
+            False,
+            "k=50: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
+        )
+
+    @pytest.mark.parametrize("n,num,den", [(2, 3, 2), (300, 5, 4)])
+    def test_raised_last_value_fails_the_coefficient_bound(self, n, num, den):
+        # T_2 / 3! is 0.28 bits under (2/pi)**2 and T_300 / 599! is 0.30
+        # bits under (2/pi)**598: T_2 * 3/2 and T_300 * 5/4 both break it
+        tangent = tangent_numbers(n)[0]
+        bernoulli = bernoulli_from_tangent(tangent)
+        tangent[-1] = tangent[-1] * num // den
+        assert size_checks(tangent, bernoulli)[0] == checks.CheckResult(
+            "tangent coefficient bound",
+            False,
+            f"k={n}: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
         )
 
     def test_scaled_bernoulli_fails_the_bit_gap(self):
@@ -686,7 +815,55 @@ class TestRoundingBudget:
         )
 
 
+def exact_rounding_budget_bounds():
+    """The closed-form rounding bounds of _rounding_budget_bounds at sizes
+    n = 2, 3, ..., with exact powers of pi_bounds(32)."""
+    a, e, g = pi_bounds(32)
+    factorial = 1
+    for k in itertools.count(2):
+        factorial *= (2 * k - 2) * (2 * k - 1)
+        p = fastfixed.least_half_block_bits(k)
+        tail_num = factorial * e**6 << (2 * k * (g + 1) + 2 * g + 3)
+        tail_den = 945 * a ** (2 * k) * ((a * a << (2 * p)) - (1 << (2 * g + 2)))
+        tail = Fraction(tail_num, tail_den << (6 * g))
+        cut_num = (k + 1) << (2 * p + 2)
+        cut_den = k * (2 * k + 1) * ((1 << (2 * p + 1)) - 1) ** 2
+        yield tail + Fraction(cut_num, cut_den)
+
+
+class TestOutwardPowers:
+    @given(
+        st.integers(1, 2**300),
+        st.integers(1, 100),
+        st.booleans(),
+        st.integers(1, 12),
+    )
+    def test_one_sided_and_short(self, base, bits, up, last):
+        powers = checks._outward_powers(base, bits, up)
+        for j, (m, e) in enumerate(itertools.islice(powers, last), start=1):
+            exact = base**j
+            assert m << e >= exact if up else m << e <= exact
+            assert 0 < m < 1 << bits
+            if j << 2 < 1 << bits:  # j cuts move it by less than j 2**(3-bits)
+                assert abs((m << e) - exact) << bits < j * exact << 3
+
+    def test_exact_while_short(self):
+        powers = checks._outward_powers(3, 64, up=False)
+        assert list(itertools.islice(powers, 40)) == [(3**j, 0) for j in range(1, 41)]
+
+    def test_rounding_up_cannot_carry_out(self):
+        # rounding up cuts to bits - 1 bits, so 255 at 4 bits is 8 * 2**5
+        assert next(checks._outward_powers(2**8 - 1, 4, up=True)) == (8, 5)
+
+
 class TestRoundingBudgetBound:
+    def test_short_powers_only_raise_the_bound(self):
+        for (n, (num, den)), exact in zip(
+            rounding_budget_bounds(300), exact_rounding_budget_bounds()
+        ):
+            short = Fraction(num, den)
+            assert exact <= short < exact * (1 + Fraction(1, 2**50)), n
+
     def test_covers_the_exact_distance(self):
         # the closed form forces the rounded quotient onto the block sum, so
         # it must bound the engine's exact distance; at n = 2 that is 2/31
