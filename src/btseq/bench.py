@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .engines import ENGINES, REACH
 from .recurrences import OpCounters
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One benchmarked run: best wall time over REPEATS runs plus op counts.
 
     counters is None for engines that are not built from counted loops.

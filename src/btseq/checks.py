@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import fastfixed
 from .engines import ENGINES, REACH
@@ -32,15 +31,13 @@ from .recurrences import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     checks: tuple[CheckResult, ...]
 
@@ -150,18 +147,28 @@ def von_staudt_clausen(m: int, b: Fraction) -> int:
 
     Also insists den(b) is exactly the product of those primes. Either
     failure raises IntegrityError, since it proves b is not B_m.
+
+    With P that product, b passes iff den(b) = P and P divides
+    num(b) + sum(P/p), so a true value is decided in integers; only a
+    failing one is taken apart in Fractions, for its witness.
     """
     if m < 2 or m % 2:
         raise ValueError("m must be a positive even integer")
     primes = [p for p in _primes_to(m + 1) if m % (p - 1) == 0]
-    total = Fraction(b) + sum(Fraction(1, p) for p in primes)
+    b = Fraction(b)
+    product = math.prod(primes)
+    if b.denominator == product:
+        whole, rest = divmod(b.numerator + sum(product // p for p in primes), product)
+        if not rest:
+            return whole
+    total = b + sum(Fraction(1, p) for p in primes)
     if total.denominator != 1:
         raise IntegrityError(
             f"B_{m} plus its prime reciprocals is a {_bits(total)} non-integer"
         )
-    if Fraction(b).denominator != math.prod(primes):
+    if b.denominator != product:
         raise IntegrityError(
-            f"denominator of B_{m} differs from the prime product {math.prod(primes)}"
+            f"denominator of B_{m} differs from the prime product {product}"
         )
     return total.numerator
 

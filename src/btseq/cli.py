@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import traceback
@@ -92,6 +93,13 @@ def build_parser() -> _Parser:
     )
     add_common(p)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser every run_cli call in this process shares: argparse keeps
+    no state between parses, so one build serves them all."""
+    return build_parser()
 
 
 @contextlib.contextmanager
@@ -215,9 +223,8 @@ _EMITTERS = {"bench": _emit_bench, "verify": _emit_verify}
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -15,11 +15,10 @@ measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .softfloat import round_float
 
@@ -28,8 +27,7 @@ SecantSeq = list[int]       # entry k holds S_k, the k-th secant number
 BernoulliSeq = list[Fraction]  # entry m holds B_m
 
 
-@dataclass
-class OpCounters:
+class OpCounters(NamedTuple):
     """Per-invocation operation counts.
 
     additions and multiplications count big-integer operations;

@@ -220,9 +220,27 @@ class TestVonStaudtClausen:
         for m in range(2, 61, 2):
             von_staudt_clausen(m, values[m])
 
+    def test_integers_match_the_fraction_sum(self):
+        values = bernoulli_from_tangent(tangent_numbers(200)[0])
+        for m in range(2, 401, 2):
+            primes = [
+                p
+                for p in range(2, m + 2)
+                if m % (p - 1) == 0 and all(p % d for d in range(2, math.isqrt(p) + 1))
+            ]
+            total = values[m] + sum(Fraction(1, p) for p in primes)
+            assert total.denominator == 1
+            assert von_staudt_clausen(m, values[m]) == total.numerator
+
     def test_wrong_value_raises(self):
         with pytest.raises(IntegrityError):
             von_staudt_clausen(4, Fraction(1, 6))
+
+    def test_wrong_numerator_over_the_prime_product_raises(self):
+        # den = 30 is right for B_4; 1/30 + 1/2 + 1/3 + 1/5 = 16/15 is not whole
+        with pytest.raises(IntegrityError) as info:
+            von_staudt_clausen(4, Fraction(1, 30))
+        assert "is a 5/4-bit non-integer" in str(info.value)
 
     def test_non_integer_past_digit_limit_gives_bit_lengths(self):
         with pytest.raises(IntegrityError) as info:

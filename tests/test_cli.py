@@ -329,6 +329,54 @@ class TestUsageErrors:
         assert run(capsys, "--help")[0] == 0
 
 
+class TestSharedParser:
+    SERIES = [
+        ("tangent", "-n", "6"),
+        ("secant", "-n", "6", "--format", "json"),
+        ("bernoulli", "-n", "12"),
+        ("verify", "-n", "40", "--precision", "53"),
+        ("bench", "-n", "5"),
+        ("tangent", "-n", "0"),  # usage error, exit 1
+        ("--help",),  # exit 0
+        ("secant", "-n", "4"),  # a valid call after the usage error
+    ]
+
+    @staticmethod
+    def untimed(argv, result):
+        """result, with a bench table's wall times and the crossover line
+        they decide taken out; every other output is deterministic."""
+        code, out, err = result
+        if argv[0] == "bench":
+            rows = [row.split() for row in out.splitlines()[:-1]]
+            out = [row[:2] + row[3:] for row in rows]
+        return code, out, err
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        with monkeypatch.context() as fresh:
+            fresh.setattr(btseq.cli, "_parser", btseq.cli.build_parser)
+            expected = [self.untimed(a, run(capsys, *a)) for a in self.SERIES]
+
+        builds = []
+        original = btseq.cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(btseq.cli, "build_parser", counted)
+        btseq.cli._parser.cache_clear()
+        try:
+            shared = [self.untimed(a, run(capsys, *a)) for a in self.SERIES]
+        finally:
+            btseq.cli._parser.cache_clear()  # no parser of the counting stub stays
+        assert len(builds) == 1
+        assert shared == expected
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 1, 0, 0]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert btseq.cli.build_parser() is not btseq.cli.build_parser()
+
+
 class TestInstalledEntryPoint:
     def test_console_script(self):
         result = subprocess.run(
