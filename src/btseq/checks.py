@@ -145,32 +145,24 @@ def cross_check(n: int, known: dict | None = None) -> VerificationReport:
 def von_staudt_clausen(m: int, b: Fraction) -> int:
     """Return the integer b + sum(1/p) over primes p with (p-1) dividing m.
 
-    Also insists den(b) is exactly the product of those primes. Either
-    failure raises IntegrityError, since it proves b is not B_m.
-
-    With P that product, b passes iff den(b) = P and P divides
-    num(b) + sum(P/p), so a true value is decided in integers; only a
-    failing one is taken apart in Fractions, for its witness.
+    With P the product of those primes, sum(1/p) has denominator exactly
+    P, so b + sum(1/p) is whole iff den(b) = P and P divides
+    num(b) + sum(P/p). That is decided in integers; a value that fails
+    proves b is not B_m and raises IntegrityError, with the Fraction sum
+    built only for its witness.
     """
     if m < 2 or m % 2:
         raise ValueError("m must be a positive even integer")
     primes = [p for p in _primes_to(m + 1) if m % (p - 1) == 0]
-    b = Fraction(b)
     product = math.prod(primes)
     if b.denominator == product:
         whole, rest = divmod(b.numerator + sum(product // p for p in primes), product)
         if not rest:
             return whole
     total = b + sum(Fraction(1, p) for p in primes)
-    if total.denominator != 1:
-        raise IntegrityError(
-            f"B_{m} plus its prime reciprocals is a {_bits(total)} non-integer"
-        )
-    if b.denominator != product:
-        raise IntegrityError(
-            f"denominator of B_{m} differs from the prime product {product}"
-        )
-    return total.numerator
+    raise IntegrityError(
+        f"B_{m} plus its prime reciprocals is a {_bits(total)} non-integer"
+    )
 
 
 def _zeta_pi_bits(n: int) -> int:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from btseq import BenchRecord, CheckResult, OpCounters, VerificationReport
-from btseq.fastfixed import PackedQuotient
 
 
 @pytest.mark.parametrize(
@@ -44,7 +41,3 @@ def test_records_are_tuples_with_replace_and_asdict():
     assert record._replace(n=6).n == 6
     assert record._asdict()["counters"] == OpCounters(10, 6, 10)
 
-
-def test_packed_quotient_stays_a_frozen_dataclass():
-    assert dataclasses.is_dataclass(PackedQuotient)
-    assert PackedQuotient.__dataclass_params__.frozen
