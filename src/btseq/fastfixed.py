@@ -13,8 +13,7 @@ distance measures how far either rounded quotient sits from its ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .intops import IntegrityError, exact_div, round_nearest_div
 from .recurrences import SecantSeq, TangentSeq
@@ -27,8 +26,7 @@ def least_half_block_bits(n: int) -> int:
     return (n**n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class PackedQuotient:
+class PackedQuotient(NamedTuple):
     """One packed division, packed = round(num * 2**shift / den), at the
     point 2**(-p) for p = half_block_bits. Counted from the bottom, its 2p-bit
     blocks hold top!/m! times the values for m = top, top-2, ..., 3 or 2, and

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import math
-import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -739,7 +737,7 @@ class TestOneRunPerEngine:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = Counter()
-        packed = []  # weak references to every PackedQuotient made
+        packed = []  # every PackedQuotient made
 
         def count(module, name):
             original = getattr(module, name)
@@ -748,7 +746,7 @@ class TestOneRunPerEngine:
                 calls[name] += 1
                 result = original(*args, **kwargs)
                 if name == "packed_tangent_params":
-                    packed.append(weakref.ref(result))
+                    packed.append(result)
                 return result
 
             monkeypatch.setattr(module, name, wrapper)
@@ -783,7 +781,7 @@ class TestOneRunPerEngine:
             assert full_verification(20).all_pass
             assert calls["packed_tangent_params"] == run
             gc.collect()
-            assert [ref() for ref in packed] == [None] * run
+            assert [gc.get_referrers(q) for q in packed] == [[packed]] * run
 
     def test_n_one_runs_no_packed_division(self, counted):
         calls, _ = counted
@@ -797,7 +795,7 @@ class TestRoundingBudget:
 
         def off_by_one(n, half_block_bits=None):
             params = original(n, half_block_bits)
-            return dataclasses.replace(params, packed=params.packed + 1)
+            return params._replace(packed=params.packed + 1)
 
         monkeypatch.setattr(fastfixed, "packed_tangent_params", off_by_one)
         code = run_cli(["verify", "-n", "5"])

@@ -429,6 +429,28 @@ class TestInstalledEntryPoint:
             )
         )
 
+    def test_fresh_process_never_imports_dataclasses(self, tmp_path):
+        """No btseq import or request generates dataclass code; -S keeps
+        site hooks from importing dataclasses on their own."""
+        script = (
+            "import sys\n"
+            "from btseq.cli import run_cli\n"
+            "for argv in (['tangent', '-n', '5'], ['verify', '-n', '4'],\n"
+            "             ['bench', '-n', '2', '--algorithm', 'fast']):\n"
+            "    output = ['--output', f'{sys.argv[1]}/{argv[0]}.txt']\n"
+            "    assert run_cli([*argv, *output]) == 0, argv\n"
+            "print('dataclasses' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(btseq.cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     @pytest.mark.skipif(
         shutil.which("btseq") is None, reason="no installed btseq on PATH"
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from btseq import BenchRecord, CheckResult, OpCounters, VerificationReport
+from btseq.fastfixed import PackedQuotient, packed_tangent_params
 
 
 @pytest.mark.parametrize(
@@ -14,6 +15,10 @@ from btseq import BenchRecord, CheckResult, OpCounters, VerificationReport
         (VerificationReport, ("n", "checks")),
         (OpCounters, ("additions", "multiplications", "loop_trips")),
         (BenchRecord, ("algorithm", "n", "wall_time", "counters", "peak_value_bits")),
+        (
+            PackedQuotient,
+            ("n", "half_block_bits", "top", "num", "den", "shift", "packed"),
+        ),
     ],
 )
 def test_fields_keep_their_names_and_order(record, fields):
@@ -41,3 +46,11 @@ def test_records_are_tuples_with_replace_and_asdict():
     assert record._replace(n=6).n == 6
     assert record._asdict()["counters"] == OpCounters(10, 6, 10)
 
+
+def test_packed_quotient_is_immutable_with_replace():
+    quotient = packed_tangent_params(3)
+    with pytest.raises(AttributeError):
+        quotient.packed += 1
+    bumped = quotient._replace(packed=quotient.packed + 1)
+    assert bumped.packed == quotient.packed + 1
+    assert bumped[:-1] == quotient[:-1]
