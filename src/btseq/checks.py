@@ -23,9 +23,7 @@ from .intops import IntegrityError
 from .recurrences import (
     BernoulliSeq,
     TangentSeq,
-    atkinson_tangent_secant,
     bernoulli_float_unstable,
-    bernoulli_from_tangent,
     scaled_bernoulli_stable,
     tangent_numbers,
 )
@@ -109,36 +107,23 @@ def _mismatches(left, right) -> Iterator[str]:
     yield f"lengths differ: {len(left)} != {len(right)}"
 
 
-def _references(tangent: TangentSeq) -> dict:
-    """The tangent and Bernoulli references from one row [T_1..T_n]: the
-    table's Bernoulli reference is the conversion of its tangent reference."""
-    bernoulli = bernoulli_from_tangent(tangent)
-    return {("tangent", "recurrence"): tangent, ("bernoulli", "recurrence"): bernoulli}
-
-
-def cross_check(n: int, known: dict | None = None) -> VerificationReport:
+def cross_check(n: int, runs: dict | None = None) -> VerificationReport:
     """Compare each sequence's reference engine with every other engine that
-    has a cross-check label, at the reach of n tangent numbers. Outputs in
-    known are taken out of it, not run, so none outlives its comparison.
-    Without known, one tangent reference run also feeds the Bernoulli
-    reference; every other entry is run from the table."""
+    has a cross-check label, at the reach of n tangent numbers. The entries
+    that name one run share it through runs, so each shared run is made once
+    per size; a caller may hand in, as runs, outputs it has made itself."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if known is None:
-        known = _references(ENGINES["tangent", "recurrence"].produce(n)[0])
-
-    def output(key, size):
-        return known.pop(key) if key in known else ENGINES[key].produce(size)[0]
-
+    runs = {} if runs is None else runs
     checks = []
-    labelled = [key for key, engine in ENGINES.items() if engine.label]
+    labelled = [(kind, e) for (kind, _), e in ENGINES.items() if e.label]
     for sequence, reach in REACH.items():
-        reference, *others = [key for key in labelled if key[0] == sequence]
-        size = reach * n
-        expected = output(reference, size)
-        for key in others:
-            name = f"{sequence}: {ENGINES[reference].label} vs {ENGINES[key].label}"
-            checks.append(_first_miss(name, _mismatches(expected, output(key, size))))
+        reference, *others = [e for kind, e in labelled if kind == sequence]
+        expected = reference.values(reach * n, runs)
+        for engine in others:
+            name = f"{sequence}: {reference.label} vs {engine.label}"
+            misses = _mismatches(expected, engine.values(reach * n, runs))
+            checks.append(_first_miss(name, misses))
     return VerificationReport(n, tuple(checks))
 
 
@@ -400,7 +385,7 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     if precision < 24:
         raise ValueError("precision must be at least 24 bits")
     scale = Fraction(2) ** (53 - precision)
-    exact = bernoulli_from_tangent(tangent_numbers(40)[0])  # B_0..B_80
+    exact = ENGINES["bernoulli", "recurrence"].produce(80)[0]  # B_0..B_80
     unstable = bernoulli_float_unstable(60, precision)
     low_worst = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))
     error = f"worst relative error {float(low_worst):.3e}"  # PASS and FAIL alike
@@ -435,18 +420,16 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         raise ValueError("precision must be at least 24 bits")
     row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
     tangent = row[:n]
-    known = _references(tangent)
-    bernoulli = known["bernoulli", "recurrence"]
-    triangle_keys = ("tangent", "atkinson"), ("secant", "atkinson")
-    known.update(zip(triangle_keys, atkinson_tangent_secant(n)))  # one run, both lists
+    runs = {("recurrence", n): (tangent, None)}  # no check reads its counters
     top, bottom = _BUDGET.as_integer_ratio()  # so each budget test is in integers
     if n >= 2:  # one packed division feeds the cross-check and the k = n audit
         quotient = fastfixed.packed_tangent_params(n)
-        known["tangent", "fast"] = fastfixed.read_blocks(quotient)
+        runs["fast", n] = fastfixed.read_blocks(quotient), None
         d, den = fastfixed.quotient_rounding_distance(quotient)
         exact_miss = bottom * d >= top * den
         del quotient, d, den  # no multi-Mbit int of the packed run outlives its audit
-    checks = list(cross_check(n, known).checks)
+    checks = list(cross_check(n, runs).checks)
+    bernoulli = ENGINES["bernoulli", "recurrence"].values(2 * n, runs)
     evens = range(2, 2 * n + 1, 2)
 
     def staudt() -> Iterator[str]:
@@ -463,7 +446,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     checks.append(_first_miss("denominator primes divide 2**m - 1", fermat))
     enclosures = _zeta_enclosures(bernoulli[4::2], pi_bounds(_zeta_pi_bits(n)))
     zeta = (_zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
-    checks.append(_first_miss("zeta ratio enclosure", zeta))
+    witness = None if n > 1 else "checked: none"  # its first index is B_4
+    checks.append(_first_miss("zeta ratio enclosure", zeta, witness))
     checks.extend(size_checks(tangent, bernoulli))
 
     if n >= 2:

@@ -1,16 +1,19 @@
 """The engine table: every (sequence, engine) pair and the producer behind it.
 
-A producer maps n to (values, counters). values is [T_1..T_n] for tangent,
-[S_0..S_n] for secant and [B_0..B_n] for bernoulli; counters is the
-engine's OpCounters, or None for engines not built from counted loops. The
-first engine listed for a sequence is its reference. A Bernoulli entry
-named after a tangent engine runs that engine and converts its output with
-bernoulli_from_tangent; it adds no independent evidence, so it has no
-cross-check label.
+A producer maps n to (values, counters): [T_1..T_n], [S_0..S_n] or
+[B_0..B_n], and the engine's OpCounters or None for engines not built from
+counted loops. The first engine listed for a sequence is its reference.
 
-Producers call the engines through this module's global names, so
-rebinding one of those names (a test double, a tracer) reaches every
-caller of the table.
+An entry whose run field names a run in RUNS projects from that run's
+output: one triangle gives T and S, and a Bernoulli route converts a
+tangent row (it adds no independent evidence, so it has no cross-check
+label). Its producer also takes runs, a dict that one caller keeps for one
+call: each run and conversion is looked up there first and kept there
+once made. Without runs, every call runs its engine again.
+
+RUNS and the producers call the engines through this module's global
+names, so rebinding one (a test double, a tracer) reaches every entry
+built on it.
 """
 
 from __future__ import annotations
@@ -33,47 +36,59 @@ from .series import bernoulli_via_series
 # same information, so engines of different sequences compare at these sizes.
 REACH = {"tangent": 1, "secant": 1, "bernoulli": 2}
 
+# Runs shared by entries, by engine name: m -> ([T_1..T_m], ..., counters)
+RUNS = {
+    "recurrence": lambda m: tangent_numbers(m),
+    "fast": lambda m: (fast_tangent_numbers(m), None),
+    "atkinson": lambda m: atkinson_tangent_secant(m),  # ([T], [S_0..S_m], ops)
+}
+
 
 class Engine(NamedTuple):
     label: str | None  # name in cross-check reports; None for a tangent route
-    produce: Callable[[int], tuple[list, OpCounters | None]]
+    produce: Callable[..., tuple[list, OpCounters | None]]
+    run: str | None = None  # the run in RUNS that produce projects from
+
+    def values(self, n: int, runs: dict) -> list:
+        """The values at n; a projection shares its run through runs."""
+        return (self.produce(n, runs) if self.run else self.produce(n))[0]
 
 
-def _atkinson_secant(n: int):
-    _, secant, ops = atkinson_tangent_secant(max(n, 1))
-    return secant[: n + 1], ops
+def _from_run(label: str | None, sequence: str, run: str) -> Engine:
+    """The entry that projects `sequence` out of RUNS[run]."""
 
-
-def _tangent_route(engine: str):
-    """Producer of [B_0..B_n] from the tangent engine named `engine`."""
-
-    def produce(n: int):
-        tangent, ops = ENGINES["tangent", engine].produce(max(1, n // 2))
-        values = bernoulli_from_tangent(tangent)[: n + 1]
+    def produce(n: int, runs: dict | None = None):
+        runs = {} if runs is None else runs
+        # T_1..T_0 is no list; S_0, B_0 and B_1 come from a run at m = 1
+        m = n if sequence == "tangent" else max(1, n // REACH[sequence])
+        if (run, m) not in runs:
+            runs[run, m] = RUNS[run](m)
+        output = runs[run, m]
+        if sequence == "tangent":
+            return output[0][:n], output[-1]
+        if sequence == "secant":
+            return output[1][: n + 1], output[-1]
+        if (run, m, sequence) not in runs:  # the conversion is shared too
+            runs[run, m, sequence] = bernoulli_from_tangent(output[0])
+        values = runs[run, m, sequence][: n + 1]
         values += [Fraction(0)] * (n + 1 - len(values))  # odd n: B_n = 0
-        return values, ops
+        return values, output[-1]
 
-    return produce
+    return Engine(label, produce, run)
 
 
 ENGINES: dict[tuple[str, str], Engine] = {
-    ("tangent", "recurrence"): Engine("in-place", lambda n: tangent_numbers(n)),
-    ("tangent", "fast"): Engine(
-        "packed-division", lambda n: (fast_tangent_numbers(n), None)
-    ),
-    ("tangent", "atkinson"): Engine(
-        "triangle", lambda n: atkinson_tangent_secant(n)[::2]  # (tangent, ops)
-    ),
+    ("tangent", "recurrence"): _from_run("in-place", "tangent", "recurrence"),
+    ("tangent", "fast"): _from_run("packed-division", "tangent", "fast"),
+    ("tangent", "atkinson"): _from_run("triangle", "tangent", "atkinson"),
     ("secant", "recurrence"): Engine("in-place", lambda n: secant_numbers(n)),
     ("secant", "fast"): Engine(
         "packed-division", lambda n: (fast_secant_numbers(n), None)
     ),
-    ("secant", "atkinson"): Engine("triangle", _atkinson_secant),
-    ("bernoulli", "recurrence"): Engine(
-        "tangent route", _tangent_route("recurrence")
-    ),
-    ("bernoulli", "fast"): Engine(None, _tangent_route("fast")),
-    ("bernoulli", "atkinson"): Engine(None, _tangent_route("atkinson")),
+    ("secant", "atkinson"): _from_run("triangle", "secant", "atkinson"),
+    ("bernoulli", "recurrence"): _from_run("tangent route", "bernoulli", "recurrence"),
+    ("bernoulli", "fast"): _from_run(None, "bernoulli", "fast"),
+    ("bernoulli", "atkinson"): _from_run(None, "bernoulli", "atkinson"),
     ("bernoulli", "akiyama"): Engine(
         "akiyama-tanigawa", lambda n: (akiyama_tanigawa_bernoulli(n), None)
     ),

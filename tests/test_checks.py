@@ -182,23 +182,24 @@ class TestCrossCheck:
             )
         ]
 
-    def test_mismatch_past_digit_limit_gives_bit_lengths(self):
+    def test_mismatch_past_digit_limit_gives_bit_lengths(self, monkeypatch):
         # 10**5000 has too many digits for str(); the witness must not need it
-        known = {
-            ("tangent", "recurrence"): [1, 10**5000],
-            ("tangent", "fast"): [1, 10**5000 + 1],
-        }
-        result = cross_check(2, known).checks[0]
+        big = 10**5000
+        monkeypatch.setattr(engines, "tangent_numbers", lambda n: ([1, big], None))
+        monkeypatch.setattr(engines, "fast_tangent_numbers", lambda n: [1, big + 1])
+        result = cross_check(2).checks[0]
+        assert result.name == "tangent: in-place vs packed-division"
         assert not result.passed
         assert result.witness == "position 1: a 16610-bit value != a 16610-bit value"
 
-    def test_fraction_mismatch_gives_numerator_and_denominator_bits(self):
+    def test_fraction_mismatch_gives_numerator_and_denominator_bits(
+        self, monkeypatch
+    ):
         big = Fraction(10**5000 + 1, 7)
-        known = {
-            ("bernoulli", "recurrence"): [Fraction(1, 6)],
-            ("bernoulli", "akiyama"): [big],
-        }
-        result = cross_check(1, known).checks[4]
+        sixth = [Fraction(1, 6)]
+        monkeypatch.setattr(engines, "bernoulli_from_tangent", lambda t: sixth)
+        monkeypatch.setattr(engines, "akiyama_tanigawa_bernoulli", lambda n: [big])
+        result = cross_check(1).checks[4]
         assert result.name == "bernoulli: tangent route vs akiyama-tanigawa"
         assert result.witness == "position 0: a 1/3-bit value != a 16610/3-bit value"
 
@@ -251,7 +252,7 @@ class TestVonStaudtClausen:
             values[4] = Fraction(10**5000 + 1, 7)
             return values
 
-        monkeypatch.setattr(checks, "bernoulli_from_tangent", skewed)
+        monkeypatch.setattr(engines, "bernoulli_from_tangent", skewed)
         code = run_cli(["verify", "-n", "5"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
@@ -300,7 +301,7 @@ class TestZetaRatio:
             values[2 * k] *= 1 + sign * Fraction(4, 2 ** (2 * k))
             return values
 
-        monkeypatch.setattr(checks, "bernoulli_from_tangent", skewed)
+        monkeypatch.setattr(engines, "bernoulli_from_tangent", skewed)
         report = full_verification(32)
         zeta = [c for c in report.checks if c.name == "zeta ratio enclosure"]
         assert not zeta[0].passed
@@ -700,29 +701,25 @@ class TestFullVerification:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_hand_built_outputs_match_the_engine_table(self, monkeypatch, n):
-        # full_verification builds some engine outputs itself and hands them
-        # to cross_check; each must stay what the table's engine produces
+        # full_verification makes some runs itself and hands them to
+        # cross_check; each must stay what the table's own run produces
         handed = []
         original = checks.cross_check
 
-        def recording(n, known=None):
-            handed.append({key: list(values) for key, values in known.items()})
-            return original(n, known)
+        def recording(n, runs=None):
+            handed.append({key: list(output[0]) for key, output in runs.items()})
+            assert all(output[1] is None for output in runs.values())
+            return original(n, runs)
 
         monkeypatch.setattr(checks, "cross_check", recording)
         assert full_verification(n).all_pass
-        (known,) = handed
-        expected_keys = {
-            ("tangent", "recurrence"),
-            ("bernoulli", "recurrence"),
-            ("tangent", "atkinson"),
-            ("secant", "atkinson"),
-        }
+        (seeded,) = handed
+        expected_keys = {("recurrence", n)}
         if n >= 2:
-            expected_keys.add(("tangent", "fast"))
-        assert set(known) == expected_keys
-        for key, values in known.items():
-            assert values == engines.ENGINES[key].produce(engines.REACH[key[0]] * n)[0]
+            expected_keys.add(("fast", n))
+        assert set(seeded) == expected_keys
+        for (run, size), values in seeded.items():
+            assert values == engines.RUNS[run](size)[0]
 
     def test_whole_battery_past_128(self):
         # 130 > 128: the pi precision grows past 256 bits, and the rounding
@@ -752,8 +749,9 @@ class TestOneRunPerEngine:
             monkeypatch.setattr(module, name, wrapper)
 
         count(fastfixed, "packed_tangent_params")
+        count(engines, "atkinson_tangent_secant")
+        count(engines, "bernoulli_from_tangent")
         for module in (checks, engines):
-            count(module, "atkinson_tangent_secant")
             count(module, "tangent_numbers")
         return calls, packed
 
@@ -762,17 +760,22 @@ class TestOneRunPerEngine:
         calls, _ = counted
         assert full_verification(n).all_pass
         assert calls == Counter(
-            packed_tangent_params=1, atkinson_tangent_secant=1, tangent_numbers=1
+            packed_tangent_params=1,
+            atkinson_tangent_secant=1,
+            tangent_numbers=1,
+            bernoulli_from_tangent=1,
         )
 
     def test_cross_check_alone_runs_the_tangent_row_once(self, counted):
-        # the tangent reference row also feeds the Bernoulli reference; the
-        # two triangle entries are run from the table, so a replaced entry
-        # is still the one compared
+        # the tangent reference row also feeds the Bernoulli reference, and
+        # one triangle run feeds both triangle entries
         calls, _ = counted
         assert cross_check(50).all_pass
         assert calls == Counter(
-            packed_tangent_params=1, atkinson_tangent_secant=2, tangent_numbers=1
+            packed_tangent_params=1,
+            atkinson_tangent_secant=1,
+            tangent_numbers=1,
+            bernoulli_from_tangent=1,
         )
 
     def test_two_runs_divide_twice_and_keep_nothing(self, counted):

@@ -242,6 +242,25 @@ class TestVerifyCommand:
         assert payload["all_pass"] is True
         assert all(check["passed"] for check in payload["checks"])
 
+    def test_n_one_zeta_pass_says_it_checked_none(self, capsys):
+        # B_4 is the zeta family's first index, so at n = 1 it decides none
+        code, out, _ = run(capsys, "verify", "-n", "1")
+        assert code == 0
+        assert "PASS zeta ratio enclosure  [checked: none]" in out.splitlines()
+        code, out, _ = run(capsys, "verify", "-n", "1", "--format", "json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["zeta ratio enclosure"] == {
+            "name": "zeta ratio enclosure",
+            "passed": True,
+            "witness": "checked: none",
+        }
+
+    def test_zeta_pass_from_n_two_has_no_witness(self, capsys):
+        code, out, _ = run(capsys, "verify", "-n", "2")
+        assert code == 0
+        assert "PASS zeta ratio enclosure" in out.splitlines()
+
     # verify reads the packed values through the one block reader
     def test_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(btseq.fastfixed, "read_blocks", lambda q: [1] * q.n)
