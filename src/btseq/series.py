@@ -9,9 +9,9 @@ against the defining convolution identity before it leaves this module.
 Both steps are Kronecker substitutions: each series is packed as one
 decimal number with a coefficient per fixed-width slot, and libmpdec does
 the arithmetic exactly (number-theoretic transforms for large operands).
-The reciprocal is one rounded division whose quotient holds every
-coefficient in its own slot, read off its digit string once; the check is
-one product whose low slots must come out as scale followed by zeros.
+The reciprocal is one Newton-iterated quotient whose slots hold every
+coefficient, read off its digit string once; the check is one product
+whose low slots must come out as scale followed by zeros.
 
 Inverting sinh(x)/x in w = x**2 yields the even Bernoulli numbers.
 """
@@ -23,6 +23,7 @@ from decimal import (
     MAX_EMAX,
     MAX_PREC,
     MIN_EMIN,
+    ROUND_HALF_EVEN,
     Context,
     Decimal,
     Inexact,
@@ -35,15 +36,48 @@ from typing import Sequence
 from .intops import IntegrityError
 from .recurrences import BernoulliSeq
 
-# Every Decimal operation runs in this context, so any rounding raises.
-# The builtin operators (abs, +, -) would use the thread's 28-digit context
-# and round a packed value without a signal.
-_EXACT = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[Inexact, Rounded, InvalidOperation],
-)
+_SEED = 200  # digits at most of the one libmpdec division that seeds Newton
+
+
+def _context(prec: int, *signals: type) -> Context:
+    """Round to prec digits, half to even, at any exponent; trap the signals."""
+    traps = [InvalidOperation, *signals]
+    return Context(prec, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, traps=traps)
+
+
+# Exact operations run in _EXACT, so any rounding raises, and rounded ones in
+# a _context of their own precision: the builtin operators (abs, +, -) would
+# use the thread's 28-digit context and round a packed value without a signal.
+_EXACT = _context(MAX_PREC, Inexact, Rounded)
+
+
+def _quotient(num: Decimal, den: Decimal, prec: int) -> Decimal:
+    """Return z = (1 - e) num/den, |e| <= 12 * 10**-prec, for num, den > 0, prec >= 2.
+
+    Rounding to p digits multiplies by some 1 + d, |d| <= 5 * 10**-p. The seed
+    rounds den, then num/den: |e| <= 10 * 10**-prec / (1 - 5 * 10**-prec). A
+    doubling takes y = _quotient(1, den, h), h = prec//2 + 2, u = 1 - den y, the
+    exact z = num y and A = den (1 + d) rounded to prec digits. The residual
+    num - A z = num w, w = u - d (1 - u), rounded (1 + d') to the ceil(prec/2)
+    digits it carries, gives z + y num w (1 + d') = (1 - e) num/den, e = u**2 +
+    d (1 - u)**2 - d' (1 - u) w: within (0.15 + 5.01 + 0.61) * 10**-prec, as 2h >=
+    prec + 3 and h + ceil(prec/2) = prec + 2; 12 * 10**-prec once rounded to prec.
+    """
+    ctx = _context(prec)
+    if prec <= _SEED:
+        return ctx.divide(num, ctx.plus(den))
+    y = _quotient(Decimal(1), den, prec // 2 + 2)
+    z = _EXACT.multiply(num, y)
+    residual = _context((prec + 1) // 2).fma(ctx.plus(den).copy_negate(), z, num)
+    return ctx.fma(y, residual, z)
+
+
+def _nearest_quotient(num: Decimal, den: Decimal) -> Decimal:
+    """The integer (exponent 0) nearest to z = _quotient(num, den, prec): as
+    num/den < 10**q, q = num.adjusted() - den.adjusted() + 1, at prec = max(q, 0)
+    + 2 the estimate z lies within 12 * 10**(q - prec) <= 3/25 < 1/4 of num/den."""
+    prec = max(num.adjusted() - den.adjusted() + 1, 0) + 2
+    return _context(prec).quantize(_quotient(num, den, prec), Decimal(1))
 
 
 def _pack(coeffs: Sequence[int], width: int) -> Decimal:
@@ -78,7 +112,7 @@ def check_reciprocal(a: Sequence[int], b: Sequence[int], scale: int) -> None:
 
 
 def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ...]:
-    """Return e = scale * (1/a) modulo z**order, by one exact division.
+    """Return e = scale * (1/a) modulo z**order, by one rounded quotient.
 
     Take K = order, alpha = |a_0|, sigma = sum_{0<k<K} |a_k| and
     M = max(1, |scale|/alpha) max(1, sigma/alpha)**(K-1), which bounds every
@@ -88,7 +122,8 @@ def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ..
 
     a e = scale + z**K H gives A E = scale R**(2K-2) + R**(K-2) H(1/R), and
     |H(1/R)| <= sigma M R/(R-1), |A| >= R**(K-1) (alpha - sigma/R) put the
-    quotient within sigma M / (R alpha - alpha - sigma) < 1/7 of E.
+    quotient within sigma M / (R alpha - alpha - sigma) < 1/7 of E, and the
+    Newton estimate of _nearest_quotient within 1/4 + 1/7 < 1/2 of E.
 
     R/2 added to every slot makes each one positive, read off the digits
     once. A scale that leaves e fractional still puts V within 1 of E, and
@@ -109,8 +144,7 @@ def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ..
     width = (bound.bit_length() + (order - 1) * growth) * 30103 // 100000 + 1
     den = _pack([*a, *[0] * (order - len(a))][::-1], width).copy_abs()
     num = _EXACT.scaleb(Decimal(abs(scale)), (2 * order - 2) * width)
-    # |V| = floor((2 |num| + |A|) / (2 |A|)), then V + R/2 in every slot
-    magnitude = _EXACT.divide_int(_EXACT.fma(num, 2, den), _EXACT.multiply(den, 2))
+    magnitude = _nearest_quotient(num, den)  # |V|, then V + R/2 in every slot
     bias = Decimal(("5" + "0" * (width - 1)) * order)
     sign = 1 if (scale < 0) == (a[0] < 0) else -1
     digits = str(_EXACT.fma(sign, magnitude, bias)).zfill(order * width)

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    getcontext,
+    localcontext,
+)
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import btseq.series as series_module
 from btseq.intops import IntegrityError
 from btseq.recurrences import (
     akiyama_tanigawa_bernoulli,
@@ -15,6 +31,14 @@ from btseq.recurrences import (
     tangent_numbers,
 )
 from btseq.series import bernoulli_via_series, check_reciprocal, series_reciprocal
+
+# Exact decimal arithmetic for the oracles: any rounding raises.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation],
+)
 
 
 def schoolbook(a, b, order: int) -> list[int]:
@@ -70,7 +94,82 @@ def identity_holds(a, b, scale: int) -> bool:
     return schoolbook(a, b, len(b)) == [scale] + [0] * (len(b) - 1)
 
 
+def nearest_by_long_division(num: Decimal, den: Decimal) -> Decimal:
+    """Independent oracle: floor((2 num + den) / (2 den)), the integer
+    nearest to num/den, by libmpdec's exact long division."""
+    return EXACT.divide_int(EXACT.fma(num, 2, den), EXACT.multiply(den, 2))
+
+
+def sinh_series(order: int) -> tuple[list[int], int]:
+    """The series bernoulli_via_series inverts at K = order terms, and its
+    scale: a_k = (2K-1)!/(2k+1)!, scale = a_0 (2K-2)! lcm(1..2K-1)."""
+    top = math.factorial(2 * order - 1)
+    a = [top // math.factorial(2 * k + 1) for k in range(order)]
+    return a, top * math.factorial(2 * order - 2) * math.lcm(*range(1, 2 * order))
+
+
+class Level(NamedTuple):
+    num: Decimal
+    den: Decimal
+    prec: int
+    z: Decimal
+
+
+class Division(NamedTuple):
+    num: Decimal
+    den: Decimal
+    value: Decimal
+    levels: list[Level]  # the Newton levels, innermost (the seed) first
+
+
+@contextmanager
+def recording():
+    """Record every quotient that series_reciprocal rounds, with each
+    _quotient call (one per Newton level) made for it."""
+    divisions: list[Division] = []
+    levels: list[Level] = []
+    nearest, quotient = series_module._nearest_quotient, series_module._quotient
+
+    def spy_quotient(num, den, prec):
+        z = quotient(num, den, prec)
+        levels.append(Level(num, den, prec, z))
+        return z
+
+    def spy_nearest(num, den):
+        start = len(levels)
+        value = nearest(num, den)
+        divisions.append(Division(num, den, value, levels[start:]))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_quotient", spy_quotient)
+        patch.setattr(series_module, "_nearest_quotient", spy_nearest)
+        yield divisions
+
+
+def assert_newton_bounds(division: Division) -> None:
+    """Every level keeps its bound, decided exactly: |num - den z| <=
+    12 * 10**-prec * num at each level, and the unrounded top-level estimate
+    z lies within 1/4 of num/den."""
+    num, den, value, levels = division
+    assert value.as_tuple().exponent == 0
+    for level in levels:
+        miss = EXACT.fma(level.den, level.z, level.num.copy_negate()).copy_abs()
+        assert EXACT.scaleb(miss, level.prec) <= EXACT.multiply(level.num, 12)
+    top = levels[-1]
+    assert (top.num, top.den) == (num, den)
+    miss = EXACT.fma(den, top.z, num.copy_negate()).copy_abs()
+    assert EXACT.multiply(miss, 4) < den
+
+
+def assert_newton_quotient(division: Division) -> None:
+    """The Newton bounds hold and V is the long-division oracle's."""
+    assert_newton_bounds(division)
+    assert division.value == nearest_by_long_division(division.num, division.den)
+
+
 signed = st.integers(-(2**200), 2**200)
+wide = st.integers(-(2**2000), 2**2000)
 unit = st.sampled_from([1, -1])
 
 
@@ -256,6 +355,83 @@ class TestSeriesReciprocal:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             series_reciprocal((1,), 1, 0)
+
+
+class TestNewtonQuotient:
+    """The Newton quotient against libmpdec's long division, which computed
+    V before it; the check_reciprocal identity test runs on every result."""
+
+    @pytest.mark.parametrize(
+        "order,doublings",
+        [(2, 0), (8, 0), (10, 1), (16, 2), (40, 5), (76, 7), (150, 10), (301, 12)],
+    )
+    def test_sinh_series(self, order, doublings):
+        with recording() as divisions:
+            bernoulli_via_series(2 * order - 2)
+        (division,) = divisions
+        assert len(division.levels) == doublings + 1
+        assert_newton_quotient(division)
+
+    # verify -n N runs order N + 1 (N in 50..56, 72..78, 128..129); bernoulli
+    # -n m --algorithm all runs order m//2 + 1 (m in 235..265, 305..335)
+    @pytest.mark.parametrize("order", [51, 57, 73, 79, 118, 129, 130, 133, 153, 168])
+    def test_orders_the_benchmark_workloads_reach(self, order):
+        with recording() as divisions:
+            bernoulli_via_series(2 * order - 2)
+        assert_newton_quotient(divisions[0])
+
+    @given(
+        unit,
+        st.integers(2**1000, 2**2000),
+        st.lists(wide, max_size=5),
+        st.integers(2, 8),
+        signed,
+        st.booleans(),
+    )
+    def test_wide_signed_series(self, head, big, tail, order, scale, negate):
+        a = (head, -big if negate else big, *tail)
+        scale = scale or 1
+        with recording() as divisions:
+            got = series_reciprocal(a, order, scale)
+        assert list(got) == unit_reciprocal(a, order, scale)
+        (division,) = divisions
+        # the packed divisor is past the seed, so Newton doubles at least once
+        assert division.den.adjusted() + 1 > series_module._SEED
+        assert len(division.levels) >= 2
+        assert_newton_quotient(division)
+
+    @given(st.integers(1, 2**3000), st.integers(1, 2**2000), st.integers(0, 400))
+    def test_any_quotient_is_estimated_within_a_quarter(self, n, d, shift):
+        # num/den need not lie near an integer: the bound holds regardless
+        num, den = EXACT.scaleb(Decimal(n), shift), Decimal(d)
+        with recording() as divisions:
+            value = series_module._nearest_quotient(num, den)
+        assert_newton_bounds(divisions[0])
+        expected = nearest_by_long_division(num, den)
+        # within 3/8 of an integer, the estimate (within 3/25) rounds to it
+        miss = EXACT.fma(expected, den, num.copy_negate()).copy_abs()
+        if EXACT.multiply(miss, 8) < EXACT.multiply(den, 3):
+            assert value == expected
+        assert EXACT.subtract(value, expected).copy_abs() <= 1
+
+    def test_fractional_scale_raises_past_the_seed(self):
+        # one more than the true scale leaves e_0 = scale/a_0 fractional
+        a, scale = sinh_series(76)
+        with recording() as divisions, pytest.raises(IntegrityError):
+            series_reciprocal(a, 76, scale + 1)
+        assert len(divisions[0].levels) >= 6
+
+    def test_ignores_the_thread_context(self):
+        tangent, _ = tangent_numbers(301)
+        expected = bernoulli_from_tangent(tangent)[:601]
+        with localcontext() as context:
+            context.prec = 3
+            context.traps[Inexact] = context.traps[Rounded] = True
+            before = repr(context)
+            got = bernoulli_via_series(600)
+            assert getcontext() is context
+            assert repr(context) == before
+        assert got == expected
 
 
 class TestCheckReciprocal:
