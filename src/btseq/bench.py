@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .engines import ENGINES, REACH
@@ -27,15 +26,10 @@ class BenchRecord(NamedTuple):
 
 
 def _peak_bits(values) -> int:
-    peak = 0
-    for value in values:
-        if isinstance(value, Fraction):
-            peak = max(
-                peak, value.numerator.bit_length(), value.denominator.bit_length()
-            )
-        else:
-            peak = max(peak, abs(value).bit_length())
-    return peak
+    # an int is its own numerator over a denominator of 1
+    return max(
+        max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values
+    )
 
 
 REPEATS = 3  # runs per record; the best wall time is kept

@@ -225,16 +225,12 @@ _EMITTERS = {"bench": _emit_bench, "verify": _emit_verify}
 def run_cli(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help paths
-        return int(exc.code or 0)
-    try:
         with _open_output(args.output) as out:
             code, chunks = _EMITTERS.get(args.command, _emit_sequence)(args)
             with _any_int_size():  # the lines are formatted as they are written
                 out.writelines(chunks)
+    except SystemExit as exc:  # --help paths
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

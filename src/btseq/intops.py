@@ -1,9 +1,10 @@
 """Exact integer primitives shared by every engine.
 
 Values are plain Python ints, so precision is unbounded. These helpers add
-correctly rounded division and division that must come out exact, plus
-factorial ratios (the tests' independent oracle for the packed blocks). There
-is no block codec: `fastfixed` reads its packed blocks off itself.
+correctly rounded division and division that must come out exact, which the
+packed engines in `fastfixed` use; every other module imports only
+`IntegrityError`. There is no block codec: `fastfixed` reads its packed
+blocks off itself.
 
 Both divisions go through `_divmod`, which divides large operands by
 Burnikel-Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
@@ -14,18 +15,9 @@ on CPython 3.11 and earlier is schoolbook.
 
 from __future__ import annotations
 
-import math
-
 
 class IntegrityError(ArithmeticError):
     """An exactness guarantee failed, meaning upstream arithmetic is wrong."""
-
-
-def factorial_ratio(a: int, b: int) -> int:
-    """Return a!/b! = (b+1)(b+2)...a for a >= b >= 0."""
-    if b < 0 or a < b:
-        raise ValueError(f"need a >= b >= 0, got a={a}, b={b}")
-    return math.prod(range(b + 1, a + 1))
 
 
 # Divisors of at most this many bits go to the builtin divmod, whose

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from btseq.fastfixed import (
     packed_tangent_params,
     quotient_rounding_distance,
 )
-from btseq.intops import factorial_ratio
 from btseq.recurrences import (
     akiyama_tanigawa_bernoulli,
     atkinson_tangent_secant,
@@ -87,10 +87,10 @@ def test_criterion_03_scaled_tangent_block_bounds():
         tangent, _ = tangent_numbers(n)
         p = least_half_block_bits(n)
         params = packed_tangent_params(n)
-        top = factorial_ratio(2 * n - 1, 0)
+        top = math.factorial(2 * n - 1)
         packed = params.packed
         for k in range(n, 0, -1):
-            scaled = factorial_ratio(2 * n - 1, 2 * k - 1) * tangent[k - 1]
+            scaled = math.perm(2 * n - 1, 2 * (n - k)) * tangent[k - 1]
             block = packed & ((1 << (2 * p)) - 1)
             packed >>= 2 * p
             if not (scaled < 2 ** (2 * p) and scaled <= top and scaled == block):
@@ -200,7 +200,7 @@ def test_criterion_09_packing_identity():
         p = least_half_block_bits(n)
         manual = 0
         for k in range(1, n + 1):
-            scaled = factorial_ratio(2 * n - 1, 2 * k - 1) * tangent[k - 1]
+            scaled = math.perm(2 * n - 1, 2 * (n - k)) * tangent[k - 1]
             manual += scaled << (2 * (n - k) * p)
         if manual != packed_tangent_params(n).packed:
             ok = False

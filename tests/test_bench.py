@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,14 @@ class TestBenchSuite:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             bench_suite([4], ["newton"])
+
+
+class TestPeakBits:
+    def test_ints_and_fractions_share_one_path(self):
+        # a negative int, a negative numerator, and a peak set by a denominator
+        values = [-7936, Fraction(-691, 2730), Fraction(1, 2**20)]
+        assert bench._peak_bits(values) == 21
+        assert bench._peak_bits([Fraction(0), 1]) == 1
 
 
 class TestCrossoverSummary:

@@ -151,6 +151,17 @@ class TestSequenceCommands:
         assert "internal error" in err
         assert "usage error" not in err
 
+    def test_fault_while_parsing_exits_three(self, capsys, monkeypatch):
+        # parsing sits inside the same handler chain as the work
+        def broken():
+            raise RuntimeError("forced for the test")
+
+        monkeypatch.setattr(btseq.cli, "_parser", broken)
+        code, out, err = run(capsys, "tangent", "-n", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
 
 @pytest.fixture(scope="module")
 def triangle_1050():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,29 +12,8 @@ from btseq.intops import (
     IntegrityError,
     _divmod,
     exact_div,
-    factorial_ratio,
     round_nearest_div,
 )
-
-
-class TestFactorialRatio:
-    def test_examples(self):
-        assert factorial_ratio(5, 2) == 60       # 5!/2!
-        assert factorial_ratio(7, 7) == 1
-        assert factorial_ratio(1, 0) == 1
-        assert factorial_ratio(0, 0) == 1
-        assert factorial_ratio(10, 0) == math.factorial(10)
-
-    @given(st.integers(0, 200), st.integers(0, 200))
-    def test_matches_factorials(self, a, b):
-        a, b = max(a, b), min(a, b)
-        assert factorial_ratio(a, b) * math.factorial(b) == math.factorial(a)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            factorial_ratio(3, 5)
-        with pytest.raises(ValueError):
-            factorial_ratio(3, -1)
 
 
 class TestRoundNearestDiv:
