@@ -10,11 +10,15 @@ of two, so every inequality here is decided in integer arithmetic.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
+import os
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import fastfixed
 from .engines import ENGINES, REACH
@@ -111,18 +115,24 @@ def cross_check(n: int, runs: dict | None = None) -> VerificationReport:
     """Compare each sequence's reference engine with every other engine that
     has a cross-check label, at the reach of n tangent numbers. The entries
     that name one run share it through runs, so each shared run is made once
-    per size; a caller may hand in, as runs, outputs it has made itself."""
+    per size. A caller may hand in, as runs, outputs it has made itself: a
+    run's output under (run, m), and an entry that shares no run as its
+    values at m under (sequence, name, m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     runs = {} if runs is None else runs
+
+    def values(key: tuple[str, str], m: int) -> list:
+        return runs[(*key, m)] if (*key, m) in runs else ENGINES[key].values(m, runs)
+
     checks = []
-    labelled = [(kind, e) for (kind, _), e in ENGINES.items() if e.label]
     for sequence, reach in REACH.items():
-        reference, *others = [e for kind, e in labelled if kind == sequence]
-        expected = reference.values(reach * n, runs)
-        for engine in others:
-            name = f"{sequence}: {reference.label} vs {engine.label}"
-            misses = _mismatches(expected, engine.values(reach * n, runs))
+        labelled = [key for key, e in ENGINES.items() if e.label and key[0] == sequence]
+        reference, *others = labelled
+        expected = values(reference, reach * n)
+        for key in others:
+            name = f"{sequence}: {ENGINES[reference].label} vs {ENGINES[key].label}"
+            misses = _mismatches(expected, values(key, reach * n))
             checks.append(_first_miss(name, misses))
     return VerificationReport(n, tuple(checks))
 
@@ -411,24 +421,133 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-def full_verification(n: int, precision: int | None = None) -> VerificationReport:
-    """Run every check family at size n; optionally add the float contrast.
-    Each engine runs once, and every family that reads its output shares it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if precision is not None and precision < 24:  # before any engine runs
-        raise ValueError("precision must be at least 24 bits")
+# Least n at which verify runs its unshared engines in a second process: at
+# n = 64 they take about 13 ms, and a fork and join about 5 ms.
+_FORK_FROM = 64
+
+
+@contextlib.contextmanager
+def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
+    """Start work() beside the caller; yield join, which returns what work()
+    returned or raises what it raised.
+
+    A forked child runs work() when n is at least _FORK_FROM, a second CPU
+    is ours and no other thread is alive (a fork copies only the thread
+    that calls it). It runs with the collector off and sends its outcome
+    back pickled through a pipe; it leaves by os._exit, so it runs no exit
+    handler and flushes no inherited buffer. The parent always reaps the
+    child, and kills it first if it leaves before join. Otherwise join
+    calls work() itself.
+    """
+    cpus = getattr(os, "sched_getaffinity", None)
+    if n < _FORK_FROM or not cpus or len(cpus(0)) < 2 or threading.active_count() > 1:
+        yield work
+        return
+    import pickle  # only a run that forks pays for these imports
+    import signal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:
+        status = 1
+        try:
+            os.close(read_end)
+            gc.disable()
+            try:
+                outcome = True, work()
+            except BaseException as exc:
+                outcome = False, exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    reaped = False
+
+    def join() -> dict:
+        nonlocal reaped
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"engine process ended with exit code {code}")
+        done, value = pickle.loads(data)
+        if not done:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _unshared_values(n: int) -> dict:
+    """The values of every labelled entry that shares no run, keyed as
+    cross_check reads them; the cross-check is their only reader."""
+    return {
+        (kind, name, REACH[kind] * n): engine.values(REACH[kind] * n, {})
+        for (kind, name), engine in ENGINES.items()
+        if engine.label and not engine.run
+    }
+
+
+def _shared_runs(n: int) -> tuple[list[int], dict, bool]:
+    """The runs that more than one family reads, as (row, runs, exact_miss):
+    the in-place row [T_1..T_(n+5)], the runs dict with the first n of it,
+    the packed tangent blocks, the triangle and the Bernoulli reference, and
+    whether the packed quotient at n misses its rounding budget."""
     row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
-    tangent = row[:n]
-    runs = {("recurrence", n): (tangent, None)}  # no check reads its counters
-    top, bottom = _BUDGET.as_integer_ratio()  # so each budget test is in integers
+    runs = {("recurrence", n): (row[:n], None)}  # no check reads its counters
+    exact_miss = False
     if n >= 2:  # one packed division feeds the cross-check and the k = n audit
         quotient = fastfixed.packed_tangent_params(n)
         runs["fast", n] = fastfixed.read_blocks(quotient), None
         d, den = fastfixed.quotient_rounding_distance(quotient)
+        top, bottom = _BUDGET.as_integer_ratio()  # so the test is in integers
         exact_miss = bottom * d >= top * den
-        del quotient, d, den  # no multi-Mbit int of the packed run outlives its audit
-    checks = list(cross_check(n, runs).checks)
+    for (kind, _), engine in ENGINES.items():  # adds the triangle and B_0..B_2n
+        if engine.label and engine.run:
+            engine.values(REACH[kind] * n, runs)
+    return row, runs, exact_miss
+
+
+def full_verification(n: int, precision: int | None = None) -> VerificationReport:
+    """Run every check family at size n; optionally add the float contrast.
+    Each engine runs once, and every family that reads its output shares it.
+
+    The labelled entries that share no run are made beside the rest
+    (_beside), and a fault surfaces in serial order: first one in the
+    shared runs, then one in those entries, then one in the other families.
+    The report is the same wherever they ran. No multi-Mbit int of the
+    packed run outlives _shared_runs.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if precision is not None and precision < 24:  # before any engine runs
+        raise ValueError("precision must be at least 24 bits")
+    with _beside(lambda: _unshared_values(n), n) as join:
+        row, runs, exact_miss = _shared_runs(n)
+        try:
+            checks = _families(n, row, runs, exact_miss, precision)
+        except Exception:
+            join()  # an unshared engine's fault would have come first
+            raise
+        runs.update(join())
+    return VerificationReport(n, (*cross_check(n, runs).checks, *checks))
+
+
+def _families(
+    n: int, row: list[int], runs: dict, exact_miss: bool, precision: int | None
+) -> list[CheckResult]:
+    """Every family but the cross-check, on the shared runs, in report order."""
+    tangent = row[:n]
     bernoulli = ENGINES["bernoulli", "recurrence"].values(2 * n, runs)
     evens = range(2, 2 * n + 1, 2)
 
@@ -439,7 +558,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
             except IntegrityError as exc:
                 yield f"index {m}: {exc}"
 
-    checks.append(_first_miss("von staudt-clausen denominators", staudt()))
+    checks = [_first_miss("von staudt-clausen denominators", staudt())]
     fermat = (
         f"index {m}" for m in evens if not fermat_denominator_check(m, bernoulli[m])
     )
@@ -456,6 +575,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         checks.append(_first_miss("packed-quotient tail bound", tail, audited))
 
         # the closed form covers every k; one exact audit checks the engine
+        top, bottom = _BUDGET.as_integer_ratio()
         bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
         least = min(
             math.log2(top * den) - math.log2(bottom * num) for num, den in bounds
@@ -473,4 +593,4 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
 
     if precision is not None:
         checks.extend(stability_contrast(precision))
-    return VerificationReport(n, tuple(checks))
+    return checks

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -29,6 +31,27 @@ from btseq.cli import run_cli
 from btseq.fastfixed import packed_tangent_params, quotient_rounding_distance
 from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
+
+# the engines behind the labelled entries that share no run: verify runs
+# them in a forked child from n = checks._FORK_FROM on
+UNSHARED = (
+    "secant_numbers",
+    "fast_secant_numbers",
+    "akiyama_tanigawa_bernoulli",
+    "bernoulli_via_series",
+)
+
+
+def cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report `count` CPUs."""
+    reported = set(range(count))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: reported, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 # 64 decimal digits, so the literal itself is good to ~2**-212
 PI_REFERENCE = Fraction(
@@ -699,27 +722,39 @@ class TestFullVerification:
         assert full_verification(2, precision=24).all_pass
         assert calls["tangent_numbers"] > 0
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 75])
     def test_hand_built_outputs_match_the_engine_table(self, monkeypatch, n):
-        # full_verification makes some runs itself and hands them to
-        # cross_check; each must stay what the table's own run produces
+        # full_verification makes every run itself, the unshared entries in
+        # a forked child from n = 64, and hands them to cross_check; each
+        # must stay what the table's own run produces
         handed = []
         original = checks.cross_check
 
         def recording(n, runs=None):
-            handed.append({key: list(output[0]) for key, output in runs.items()})
-            assert all(output[1] is None for output in runs.values())
+            handed.append(dict(runs))
             return original(n, runs)
 
         monkeypatch.setattr(checks, "cross_check", recording)
+        cpus(monkeypatch, 2)
         assert full_verification(n).all_pass
         (seeded,) = handed
-        expected_keys = {("recurrence", n)}
-        if n >= 2:
-            expected_keys.add(("fast", n))
-        assert set(seeded) == expected_keys
-        for (run, size), values in seeded.items():
-            assert values == engines.RUNS[run](size)[0]
+        unshared = {
+            (kind, name, engines.REACH[kind] * n)
+            for (kind, name), e in engines.ENGINES.items()
+            if e.label and not e.run
+        }
+        assert unshared <= set(seeded)
+        assert {("recurrence", n), ("fast", n), ("atkinson", n)} <= set(seeded)
+        for key, output in seeded.items():
+            if key in unshared:
+                assert output == engines.ENGINES[key[:2]].produce(key[2])[0]
+            elif len(key) == 2:  # a run, its counters dropped when hand-built
+                run, size = key
+                assert output[:-1] == engines.RUNS[run](size)[:-1]
+            else:  # the Bernoulli conversion of a tangent run
+                run, size, _ = key
+                tangent = engines.RUNS[run](size)[0]
+                assert output == bernoulli_from_tangent(tangent)
 
     def test_whole_battery_past_128(self):
         # 130 > 128: the pi precision grows past 256 bits, and the rounding
@@ -732,15 +767,24 @@ class TestOneRunPerEngine:
     family that reads it; nothing of a run is kept for the next."""
 
     @pytest.fixture
-    def counted(self, monkeypatch):
-        calls = Counter()
+    def counted(self, monkeypatch, tmp_path):
+        """calls() counts the calls each engine got, in this process and in
+        verify's forked child alike: every call appends its name and pid to
+        one log file opened with O_APPEND. A second CPU is reported, so the
+        child forks whenever n is large enough."""
+        log = tmp_path / "calls.log"
+        log.touch()
         packed = []  # every PackedQuotient made
 
         def count(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+                try:
+                    os.write(fd, f"{name} {os.getpid()}\n".encode())
+                finally:
+                    os.close(fd)
                 result = original(*args, **kwargs)
                 if name == "packed_tangent_params":
                     packed.append(result)
@@ -749,47 +793,200 @@ class TestOneRunPerEngine:
             monkeypatch.setattr(module, name, wrapper)
 
         count(fastfixed, "packed_tangent_params")
-        count(engines, "atkinson_tangent_secant")
-        count(engines, "bernoulli_from_tangent")
+        for name in ("atkinson_tangent_secant", "bernoulli_from_tangent", *UNSHARED):
+            count(engines, name)
         for module in (checks, engines):
             count(module, "tangent_numbers")
+        cpus(monkeypatch, 2)
+
+        def calls(pid=None):
+            lines = [line.split() for line in log.read_text().splitlines()]
+            return Counter(name for name, at in lines if pid in (None, int(at)))
+
         return calls, packed
 
-    @pytest.mark.parametrize("n", [2, 12, 40])
+    @pytest.mark.parametrize("n", [2, 12, 40, 75])
     def test_each_engine_once(self, counted, n):
         calls, _ = counted
         assert full_verification(n).all_pass
-        assert calls == Counter(
+        shared = Counter(
             packed_tangent_params=1,
             atkinson_tangent_secant=1,
             tangent_numbers=1,
             bernoulli_from_tangent=1,
         )
+        assert calls() == shared + Counter(UNSHARED)
+        # from the size gate on, the unshared engines run in the child only
+        here = shared if n >= checks._FORK_FROM else calls()
+        assert calls(os.getpid()) == here
 
     def test_cross_check_alone_runs_the_tangent_row_once(self, counted):
         # the tangent reference row also feeds the Bernoulli reference, and
         # one triangle run feeds both triangle entries
         calls, _ = counted
         assert cross_check(50).all_pass
-        assert calls == Counter(
+        assert calls() == Counter(
             packed_tangent_params=1,
             atkinson_tangent_secant=1,
             tangent_numbers=1,
             bernoulli_from_tangent=1,
+            **Counter(UNSHARED),
         )
 
     def test_two_runs_divide_twice_and_keep_nothing(self, counted):
         calls, packed = counted
         for run in (1, 2):
             assert full_verification(20).all_pass
-            assert calls["packed_tangent_params"] == run
+            assert calls()["packed_tangent_params"] == run
             gc.collect()
             assert [gc.get_referrers(q) for q in packed] == [[packed]] * run
 
     def test_n_one_runs_no_packed_division(self, counted):
         calls, _ = counted
         assert full_verification(1).all_pass
-        assert calls["packed_tangent_params"] == 0
+        assert calls()["packed_tangent_params"] == 0
+
+
+class TestSecondProcess:
+    """From n = _FORK_FROM on, with a second CPU and one thread, verify runs
+    the entries that share no run in a forked child. Nothing but speed may
+    tell the two paths apart."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of forks made, as a one-item list."""
+        made = [0]
+        original = os.fork
+
+        def counted():
+            made[0] += 1
+            return original()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return made
+
+    @pytest.fixture
+    def run_both(self, monkeypatch, capsys, forks):
+        """run_both(*argv) gives (exit code, stdout, stderr) of run_cli on
+        the inline path, then on the forked path, and checks that only the
+        second one forks and that neither leaves a child behind."""
+
+        def run(*argv):
+            results = []
+            for count, expected_forks in ((1, 0), (2, 1)):
+                cpus(monkeypatch, count)
+                code = run_cli(list(argv))
+                results.append((code, *capsys.readouterr()))
+                assert forks[0] == expected_forks
+                assert_no_child_left()
+            return results
+
+        return run
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-n", "64"],
+            ["-n", "75"],
+            ["-n", "129"],
+            ["-n", "75", "--precision", "53"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_reports_are_byte_identical(self, run_both, argv, fmt):
+        inline, forked = run_both("verify", *argv, "--format", fmt)
+        assert inline == forked
+        assert inline[0] == 0 and inline[2] == ""
+
+    def test_child_fault_exits_three_with_the_serial_message(
+        self, monkeypatch, run_both
+    ):
+        def broken(n):
+            raise IntegrityError("packed secant forced to fail")
+
+        monkeypatch.setattr(engines, "fast_secant_numbers", broken)
+        inline, forked = run_both("verify", "-n", "75")
+        assert inline == forked
+        assert inline == (3, "", "integrity error: packed secant forced to fail\n")
+
+    def test_parent_fault_exits_three_and_kills_the_child(
+        self, monkeypatch, run_both
+    ):
+        def broken(n, half_block_bits=None):
+            raise IntegrityError("packed tangent forced to fail")
+
+        monkeypatch.setattr(fastfixed, "packed_tangent_params", broken)
+        inline, forked = run_both("verify", "-n", "75")
+        assert inline == forked
+        assert inline == (3, "", "integrity error: packed tangent forced to fail\n")
+
+    @pytest.mark.parametrize(
+        "broken,first",
+        [
+            # a shared run fails before the unshared engines would run
+            ((fastfixed, "packed_tangent_params"), "packed_tangent_params"),
+            # an unshared engine fails before the other families would run
+            ((checks, "size_checks"), "akiyama_tanigawa_bernoulli"),
+        ],
+    )
+    def test_faults_surface_in_serial_order(
+        self, monkeypatch, run_both, broken, first
+    ):
+        def fail(name):
+            def raiser(*args, **kwargs):
+                raise IntegrityError(f"{name} forced to fail")
+
+            return raiser
+
+        unshared = "akiyama_tanigawa_bernoulli"
+        monkeypatch.setattr(engines, unshared, fail(unshared))
+        monkeypatch.setattr(*broken, fail(broken[1]))
+        inline, forked = run_both("verify", "-n", "75")
+        assert inline == forked
+        assert inline == (3, "", f"integrity error: {first} forced to fail\n")
+
+    def test_child_that_dies_raises_child_process_error(self, monkeypatch, forks):
+        def die(n):
+            os._exit(7)
+
+        monkeypatch.setattr(engines, "bernoulli_via_series", die)
+        cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exit code 7"):
+            full_verification(75)
+        assert forks[0] == 1
+        assert_no_child_left()
+
+    def test_normal_run_leaves_no_child(self, monkeypatch, forks):
+        cpus(monkeypatch, 2)
+        assert full_verification(checks._FORK_FROM).all_pass
+        assert forks[0] == 1
+        assert_no_child_left()
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    def test_one_cpu_never_forks(self, monkeypatch, no_fork):
+        cpus(monkeypatch, 1)
+        assert full_verification(75).all_pass
+
+    def test_second_thread_never_forks(self, monkeypatch, no_fork):
+        cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert full_verification(75).all_pass
+        finally:
+            release.set()
+            thread.join()
+
+    def test_below_the_gate_never_forks(self, monkeypatch, no_fork):
+        cpus(monkeypatch, 2)
+        assert full_verification(checks._FORK_FROM - 1).all_pass
 
 
 class TestRoundingBudget:
