@@ -9,9 +9,10 @@ import os
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btseq.checks as checks
@@ -19,7 +20,6 @@ import btseq.engines as engines
 import btseq.fastfixed as fastfixed
 from btseq.checks import (
     cross_check,
-    fermat_denominator_check,
     full_verification,
     pi_bounds,
     size_checks,
@@ -123,6 +123,76 @@ def zeta_result(values, index, value):
 def rounding_budget_bounds(last):
     """(n, closed-form rounding bound at size n) for n = 2..last."""
     return enumerate(itertools.islice(checks._rounding_budget_bounds(), last - 1), 2)
+
+
+# Predicates that von Staudt-Clausen and the zeta enclosure already decide,
+# so verify runs no family for them; TestImpliedFamilies checks each
+# implication against these oracles.
+
+
+def fermat_oracle(m, b):
+    """The Fermat family: den(b) factors over the primes up to m+1, and each
+    odd one divides 2**m - 1."""
+    rest = b.denominator
+    for p in checks._primes_to(m + 1):
+        if rest % p == 0:
+            if p != 2 and ((1 << m) - 1) % p:
+                return False
+            while rest % p == 0:
+                rest //= p
+    return rest == 1
+
+
+def coefficient_oracle(tangent):
+    """The coefficient-bound family, one verdict per k = 1..n: whether
+    T_k / (2k-1)! <= (2/pi)**(2k-2) with pi the upper end of pi_bounds(),
+    decided on the exact power of that end."""
+    _, hi, shift = pi_bounds()
+    verdicts, factorial, power = [], 1, 1  # (2k-1)!, hi**(2k-2)
+    for k, t in enumerate(tangent, start=1):
+        if k > 1:
+            factorial *= (2 * k - 2) * (2 * k - 1)
+            power *= hi * hi
+        verdicts.append(t * power <= factorial << (2 * k - 2) * (shift + 1))
+    return verdicts
+
+
+def bit_gap_oracle(tangent, bernoulli):
+    """The bit-gap family at n = len(tangent) >= 2: the bit lengths of T_n
+    and of the integer part of B_2n differ by 4n up to 16 lg n."""
+    n = len(tangent)
+    gap = tangent[-1].bit_length() - int(abs(bernoulli[2 * n])).bit_length()
+    return abs(gap - 4 * n) <= 16 * math.log2(n)
+
+
+def staudt_passes(m, b):
+    try:
+        von_staudt_clausen(m, b)
+    except IntegrityError:
+        return False
+    return True
+
+
+def zeta_verdicts(tangent):
+    """Whether the zeta family passes at each k = 2..n on the tangent route
+    of the row [T_1..T_n], at the pi precision verify uses at n."""
+    pi = pi_bounds(checks._zeta_pi_bits(len(tangent)))
+    enclosures = checks._zeta_enclosures(bernoulli_from_tangent(tangent)[4::2], pi)
+    return [checks._zeta_miss(k, *ends) is None for k, ends in enumerate(enclosures, 2)]
+
+
+@lru_cache(maxsize=None)
+def zeta_passing_range(k, n):
+    """(least, largest) T_k whose tangent route B_2k passes the zeta family,
+    at the pi precision verify uses at n. With |B_2k| = k T_k / (2**(2k-1)
+    (4**k - 1)), the exact enclosure |B_2k| (2 pi)**(2k) / (2 (2k)!) on both
+    pi bounds must lie inside (1, 1 + 2**(1-2k)); the short one only widens
+    it, and an index it misses is decided on the exact one."""
+    lo, hi, shift = pi_bounds(checks._zeta_pi_bits(n))
+    scale = Fraction((4**k - 1) * math.factorial(2 * k) << (2 * k + 2 * k * shift), k)
+    low = scale / (2 * lo) ** (2 * k)
+    high = scale * (1 + Fraction(2, 4**k)) / (2 * hi) ** (2 * k)
+    return math.floor(low) + 1, math.ceil(high) - 1
 
 
 def tail_oracle(n, tangent):
@@ -418,123 +488,227 @@ class TestZetaRatio:
         assert 1 < lo < hi < 1 + Fraction(2) ** (1 - 2 * n)
 
 
+def mutated_values(least, largest, true):
+    """A T_k to try: the true one, one at or just past either end of the
+    range that passes the zeta family, one inside it, or any up to 4x."""
+    return st.one_of(
+        st.just(true),
+        st.sampled_from([least - 1, least, largest, largest + 1]),
+        st.integers(least, largest),
+        st.integers(0, 4 * largest),
+    )
+
+
+class TestImpliedFamilies:
+    """Three facts verify runs no family for, since none could change its
+    verdict: von Staudt-Clausen decides the Fermat predicate, and the zeta
+    enclosure decides the coefficient bound at k >= 2 and the bit gap.
+    T_1 is read by the cross-check alone."""
+
+    def test_fermat_implied_at_every_index_to_600(self, bernoulli_600):
+        # von Staudt-Clausen passing pins den(b) to one product of primes,
+        # which B_m and B_m +- 1 share
+        for m in range(2, 601, 2):
+            for b in (bernoulli_600[m], bernoulli_600[m] + 1, bernoulli_600[m] - 1):
+                assert staudt_passes(m, b), m
+                assert fermat_oracle(m, b), m
+
+    @given(
+        st.integers(1, 300),
+        st.sampled_from(["prime", "plus", "minus", "random"]),
+        st.sampled_from(checks._primes_to(1000)),
+        st.integers(-(2**200), 2**200),
+        st.integers(1, 2**64),
+    )
+    def test_fermat_implied_on_mutated_values(
+        self, bernoulli_600, half, mutation, prime, num, den
+    ):
+        m = 2 * half
+        b = bernoulli_600[m]
+        b = {
+            "prime": Fraction(b.numerator, b.denominator * prime),
+            "plus": b + 1,
+            "minus": b - 1,
+            "random": Fraction(num, den),
+        }[mutation]
+        if staudt_passes(m, b):
+            assert fermat_oracle(m, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 129, 300])
+    def test_largest_zeta_passing_value_clears_the_coefficient_bound(self, n):
+        # the largest T_n the zeta family passes, and 3/16 more (a quarter
+        # bit), is still under (2n-1)! (2/pi)**(2n-2)
+        tangent = tangent_numbers(n)[0]
+        _, largest = zeta_passing_range(n, n)
+        tangent[-1] = largest + 1
+        assert zeta_verdicts(tangent)[-1:] == [False]
+        tangent[-1] = largest
+        assert all(zeta_verdicts(tangent))
+        assert all(coefficient_oracle(tangent))
+        assert bit_gap_oracle(tangent, bernoulli_from_tangent(tangent))
+        tangent[-1] = largest * 19 // 16
+        assert all(coefficient_oracle(tangent))
+
+    @pytest.mark.parametrize("n", [40, 129])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_coefficient_bound_implied_on_extreme_rows(self, n, end):
+        # every T_k, k >= 2, at the least or the largest value zeta passes
+        tangent = [1] + [zeta_passing_range(k, n)[end] for k in range(2, n + 1)]
+        assert all(zeta_verdicts(tangent))
+        assert all(coefficient_oracle(tangent))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_coefficient_bound_implied_on_mutated_rows(self, data):
+        n = data.draw(st.integers(2, 40))
+        tangent = tangent_numbers(n)[0]
+        for k in range(2, n + 1):
+            least, largest = zeta_passing_range(k, n)
+            tangent[k - 1] = data.draw(mutated_values(least, largest, tangent[k - 1]))
+        zeta, coefficient = zeta_verdicts(tangent), coefficient_oracle(tangent)
+        for k, passed in enumerate(zeta, start=2):
+            assert coefficient[k - 1] or not passed, k
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bit_gap_implied_wherever_b_is_below_one(self, n):
+        # |B_2n| < 1 only for n <= 6: try every T_n that zeta passes
+        tangent = tangent_numbers(n)[0]
+        least, largest = zeta_passing_range(n, n)
+        assert least <= tangent[-1] <= largest
+        for t in range(least - 1, largest + 2):
+            tangent[-1] = t
+            if zeta_verdicts(tangent)[-1]:
+                assert bit_gap_oracle(tangent, bernoulli_from_tangent(tangent)), t
+            else:
+                assert t in (least - 1, largest + 1)
+
+    @given(st.integers(2, 300), st.data())
+    def test_bit_gap_holds_for_any_value_once_b_is_whole(self, n, data):
+        # |gap - 4n| < lg n + 3 whenever |B_2n| >= 1, whatever T_n is
+        t = data.draw(st.integers(1, 1 << (3 * n * n.bit_length())))
+        tangent = [1] * (n - 1) + [t]
+        bernoulli = bernoulli_from_tangent(tangent)
+        if abs(bernoulli[2 * n]) >= 1:
+            assert bit_gap_oracle(tangent, bernoulli)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(2, 150), st.data())
+    def test_bit_gap_implied_on_mutated_values(self, n, data):
+        tangent = tangent_numbers(n)[0]
+        least, largest = zeta_passing_range(n, n)
+        tangent[-1] = data.draw(mutated_values(least, largest, tangent[-1]))
+        if zeta_verdicts(tangent)[-1]:
+            assert bit_gap_oracle(tangent, bernoulli_from_tangent(tangent))
+
+    def test_wrong_first_tangent_number_fails_the_cross_check(
+        self, capsys, monkeypatch
+    ):
+        # T_1 = 7 makes B_2 = 7/6, which von Staudt-Clausen accepts
+        # (7/6 + 1/2 + 1/3 = 2); the zeta family starts at B_4
+        original = checks.tangent_numbers
+
+        def wrong_first(n, *args):
+            values, counters = original(n, *args)
+            values[0] = 7
+            return values, counters
+
+        monkeypatch.setattr(checks, "tangent_numbers", wrong_first)
+        code = run_cli(["verify", "-n", "40"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[1].startswith("FAIL tangent: in-place vs triangle  [position 0:")
+        assert "PASS von staudt-clausen denominators" in lines
+        assert "PASS zeta ratio enclosure" in lines
+
+
 class TestSizeChecks:
     def test_fifty_terms(self):
-        tangent, _ = tangent_numbers(50)
-        results = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert len(results) == 3
-        assert all(c.passed for c in results)
+        results = size_checks(tangent_numbers(50)[0])
+        assert results == (checks.CheckResult("tangent bit growth rate", True),)
 
     def test_single_term(self):
-        results = size_checks([1], [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
-        assert len(results) == 1
-        assert all(c.passed for c in results)
+        assert size_checks([1]) == ()
 
     def test_coefficient_bound_spot_value(self):
         # the k = 4 instance of the bound: 272 * pi**6 <= 7! * 4**3
         _, pi_hi = pi_fractions()
         assert 272 * pi_hi**6 <= 5040 * 64
 
+    # the coefficient-bound and bit-gap tests below hold those oracles to
+    # known verdicts, so the implication tests in TestImpliedFamilies
+    # cannot pass on an oracle that accepts everything
+
     def test_true_values_pass_the_coefficient_bound(self):
-        tangent, _ = tangent_numbers(300)
-        results = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert results[0].name == "tangent coefficient bound"
-        assert results[0].passed
+        assert all(coefficient_oracle(tangent_numbers(300)[0]))
 
     def test_doubled_value_fails_the_coefficient_bound(self):
         # T_k / (2k-1)! sits near 8/pi**2 = 0.81 of (2/pi)**(2k-2), so a
         # doubled T_150 breaks the bound at its own index
         tangent = tangent_numbers(150)[0]
         tangent[-1] *= 2
-        results = size_checks(tangent, bernoulli_from_tangent(tangent))
-        assert results[0] == checks.CheckResult(
-            "tangent coefficient bound",
-            False,
-            "k=150: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
-        )
+        assert coefficient_oracle(tangent) == [True] * 149 + [False]
 
     def test_largest_value_under_the_bound_passes(self):
-        # T_50 raised to the largest integer the bound allows is within
-        # 2**-450 of it, relative, so the rounded-up short power misses it
-        # and the exact power decides; one more fails
+        # T_50 raised to the largest integer the bound allows passes; one
+        # more fails
         tangent = tangent_numbers(50)[0]
-        bernoulli = bernoulli_from_tangent(tangent)
         _, hi, shift = pi_bounds()
         tangent[-1] = (math.factorial(99) << (98 * (shift + 1))) // hi**98
-        assert size_checks(tangent, bernoulli)[0].passed
+        assert all(coefficient_oracle(tangent))
         tangent[-1] += 1
-        assert size_checks(tangent, bernoulli)[0] == checks.CheckResult(
-            "tangent coefficient bound",
-            False,
-            "k=50: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
-        )
+        assert coefficient_oracle(tangent) == [True] * 49 + [False]
 
     @pytest.mark.parametrize("n,num,den", [(2, 3, 2), (300, 5, 4)])
     def test_raised_last_value_fails_the_coefficient_bound(self, n, num, den):
         # T_2 / 3! is 0.28 bits under (2/pi)**2 and T_300 / 599! is 0.30
         # bits under (2/pi)**598: T_2 * 3/2 and T_300 * 5/4 both break it
         tangent = tangent_numbers(n)[0]
-        bernoulli = bernoulli_from_tangent(tangent)
         tangent[-1] = tangent[-1] * num // den
-        assert size_checks(tangent, bernoulli)[0] == checks.CheckResult(
-            "tangent coefficient bound",
-            False,
-            f"k={n}: T_k exceeds (2k-1)! (2/pi)**(2k-2)",
-        )
+        assert coefficient_oracle(tangent) == [True] * (n - 1) + [False]
 
     def test_scaled_bernoulli_fails_the_bit_gap(self):
         # B_100 raised by 2**200 closes the 4n-bit gap to T_50 almost to 0
         tangent = tangent_numbers(50)[0]
         bernoulli = bernoulli_from_tangent(tangent)
+        assert bit_gap_oracle(tangent, bernoulli)
         bernoulli[100] *= 2**200
-        assert size_checks(tangent, bernoulli)[1:] == (
-            checks.CheckResult(
-                "tangent vs bernoulli bit gap",
-                False,
-                "gap=-7 outside 4n +- 16 lg n at n=50",
-            ),
-            checks.CheckResult("tangent bit growth rate", True),
-        )
+        assert not bit_gap_oracle(tangent, bernoulli)
+        assert size_checks(tangent)[0].passed
 
     @pytest.mark.parametrize(
-        "t_50,gap,ratio",
-        [(lambda t: t << 400, 593, "1.513"), (lambda t: 1, -260, "0.002")],
+        "t_50,ratio",
+        [(lambda t: t << 400, "1.513"), (lambda t: 1, "0.002")],
         ids=["inflated", "shrunk"],
     )
-    def test_resized_last_value_fails_the_growth_rate(self, t_50, gap, ratio):
+    def test_resized_last_value_fails_the_growth_rate(self, t_50, ratio):
         tangent = tangent_numbers(50)[0]
         bernoulli = bernoulli_from_tangent(tangent)
         tangent[-1] = t_50(tangent[-1])
-        assert size_checks(tangent, bernoulli)[1:] == (
-            checks.CheckResult(
-                "tangent vs bernoulli bit gap",
-                False,
-                f"gap={gap} outside 4n +- 16 lg n at n=50",
-            ),
+        assert not bit_gap_oracle(tangent, bernoulli)
+        assert size_checks(tangent) == (
             checks.CheckResult("tangent bit growth rate", False, f"ratio={ratio}"),
         )
 
-    def test_rejects_mismatched_lengths(self):
+    def test_rejects_an_empty_row(self):
         with pytest.raises(ValueError):
-            size_checks([1], [Fraction(1)])
+            size_checks([])
 
 
 class TestFermatDenominator:
+    """The Fermat oracle passes true values and rejects denominators that
+    no B_m can have."""
+
     def test_true_bernoulli_values_pass(self):
         values = bernoulli_from_tangent(tangent_numbers(15)[0])
         for m in range(2, 31, 2):
-            assert fermat_denominator_check(m, values[m])
+            assert fermat_oracle(m, values[m])
 
     def test_prime_outside_mersenne_fails(self):
         # 5 does not divide 2**6 - 1 = 63, so den 5 cannot appear in B_6
-        assert not fermat_denominator_check(6, Fraction(1, 5))
+        assert not fermat_oracle(6, Fraction(1, 5))
 
     def test_large_prime_cofactor_fails(self):
-        assert not fermat_denominator_check(6, Fraction(1, 2 * 1009))
-
-    def test_rejects_odd_index(self):
-        with pytest.raises(ValueError):
-            fermat_denominator_check(3, Fraction(1, 6))
+        assert not fermat_oracle(6, Fraction(1, 2 * 1009))
 
 
 class TestTangentTailAudit:
@@ -671,12 +845,12 @@ class TestFullVerification:
     def test_minimal(self):
         report = full_verification(1)
         assert report.all_pass
-        assert len(report.checks) == 10
+        assert len(report.checks) == 8
 
     def test_midsized_with_floats(self):
         report = full_verification(12, precision=53)
         assert report.all_pass
-        assert len(report.checks) == 16
+        assert len(report.checks) == 13
 
     def test_tail_audit_states_its_cap(self):
         report = full_verification(35)
@@ -908,6 +1082,23 @@ class TestSecondProcess:
         inline, forked = run_both("verify", "-n", "75")
         assert inline == forked
         assert inline == (3, "", "integrity error: packed secant forced to fail\n")
+
+    def test_child_internal_fault_names_the_engine_frame(self, monkeypatch, run_both):
+        def bernoulli_via_series(m):
+            raise ValueError("series forced to fail")
+
+        monkeypatch.setattr(engines, "bernoulli_via_series", bernoulli_via_series)
+        inline, forked = run_both("verify", "-n", "75")
+        for code, out, err in (inline, forked):
+            assert (code, out) == (3, "")
+            assert err.startswith("internal error:\n")
+            assert err.endswith("\nValueError: series forced to fail\n")
+            assert ", in bernoulli_via_series\n" in err
+        # the child's traceback is the cause of the exception join raises
+        assert "direct cause" not in inline[2]
+        cause, raised = forked[2].split("\nThe above exception was the direct cause")
+        assert ", in bernoulli_via_series\n" in cause
+        assert raised.count("Traceback (most recent call last):") == 1
 
     def test_parent_fault_exits_three_and_kills_the_child(
         self, monkeypatch, run_both
