@@ -2,12 +2,13 @@
 
 Every engine family is compared pairwise on the same inputs. Bernoulli
 denominators are pinned exactly by the Von Staudt-Clausen theorem, and each
-Bernoulli value is enclosed against the zeta value it equals. No family
-here repeats a fact those two already settle (see von_staudt_clausen and
-_zeta_enclosures). The packed quotient's tail and rounding are held against
-analytic bounds, and the fixed-precision recurrences are contrasted with
-exact values. Pi enters only as two integers over one power of two, so
-every inequality here is decided in integer arithmetic.
+Bernoulli value is enclosed against the zeta value it equals. The packed
+tangent quotient's rounding distance is bounded in closed form at every
+size and audited exactly at the largest. No family here repeats a fact
+those three already settle (see von_staudt_clausen, _zeta_enclosures and
+_rounding_budget_bounds). The fixed-precision recurrences are contrasted
+with exact values. Pi enters only as two integers over one power of two,
+so every inequality here is decided in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from . import fastfixed
 from .engines import ENGINES, REACH
 from .fastfixed import least_half_block_bits
 from .intops import IntegrityError
-from .recurrences import (
-    TangentSeq,
-    bernoulli_float_unstable,
-    scaled_bernoulli_stable,
-    tangent_numbers,
-)
+from .recurrences import bernoulli_float_unstable, scaled_bernoulli_stable
 
 
 class CheckResult(NamedTuple):
@@ -153,7 +149,8 @@ def von_staudt_clausen(m: int, b: Fraction) -> int:
     """
     if m < 2 or m % 2:
         raise ValueError("m must be a positive even integer")
-    primes = [p for p in _primes_to(m + 1) if m % (p - 1) == 0]
+    # one cached sieve per power of two; the filter drops every p > m + 1
+    primes = [p for p in _primes_to(1 << m.bit_length()) if m % (p - 1) == 0]
     product = math.prod(primes)
     if b.denominator == product:
         whole, rest = divmod(b.numerator + sum(product // p for p in primes), product)
@@ -211,7 +208,7 @@ def _zeta_enclosures(
     enclosure's.
 
     In verify B_2k is the tangent route of the row, +-k T_k / (2**(2k-1)
-    (4**k - 1)), so two facts about T_k need no check of their own:
+    (4**k - 1)), so three facts about T_k need no check of their own:
 
     - the coefficient bound T_k <= (2k-1)! (2/pi)**(2k-2): T_k/(2k-1)! is
       (2/pi)**(2k-2) (8/pi**2) (1 - 4**-k) rho_k, and a pass at k >= 2 gives
@@ -220,7 +217,13 @@ def _zeta_enclosures(
     - the bit gap between T_k and the integer part of |B_2k| is 4k up to
       16 lg k: it is within lg k + 3 of 4k whenever |B_2k| >= 1, whatever
       T_k is. Below that (k <= 6) a pass keeps T_k within one bit of its
-      true value, whose gap is at most 6 from 4k (at k = 2).
+      true value, whose gap is at most 6 from 4k (at k = 2);
+    - the growth rate: the bit length of T_n is within 20 percent of
+      2n lg n from n = 50 on. With A = 2 (2n-1)! (4**n - 1) / pi**(2n),
+      |T_n| is A rho_n, so a pass at k = n gives A < |T_n| < 9/8 A.
+      lg A - 1.6 n lg n is 2.46 bits at n = 50 and grows from n = 18 on
+      (each step adds more than 0.4 lg n - 1.7), and 2.4 n lg n exceeds
+      lg A + 1 by over 220 bits from n = 50 on.
     """
     lo, hi, shift = pi
     lo_powers = _outward_powers(4 * lo * lo, shift + 40, up=False)
@@ -263,50 +266,7 @@ def _first_miss(name: str, misses: Iterable, passed: str | None = None) -> Check
     return CheckResult(name, witness is None, witness or passed)
 
 
-def size_checks(tangent: TangentSeq) -> tuple[CheckResult, ...]:
-    """The growth-rate check on [T_1..T_n]: bit-length(T_n) stays within 20
-    percent of 2n lg n, once n >= 50 (below that there is no check).
-
-    The coefficient bound on T_k and the bit gap between T_n and B_2n are
-    decided by the zeta enclosure (_zeta_enclosures).
-    """
-    n = len(tangent)
-    if n < 1:
-        raise ValueError("expected [T_1..T_n] with n >= 1")
-    if n < 50:
-        return ()
-    ratio = tangent[-1].bit_length() / (2 * n * math.log2(n))
-    miss = None if 0.8 <= ratio <= 1.2 else f"ratio={ratio:.3f}"
-    return (_first_miss("tangent bit growth rate", [miss]),)
-
-
-TAIL_TERMS = 5  # explicit terms of each packed-quotient tail
 _BUDGET = Fraction(3, 25)  # 0.12, the packed tangent quotient's rounding budget
-
-
-def tangent_tail_audit(tangent: TangentSeq) -> list[bool]:
-    """Whether the series tail the packed tangent quotient drops lies inside
-    (0, 1/10), for each n = 2..N, given the row [T_1..T_(N+5)].
-
-    The tail at n sums T_k (2n-1)!/(2k-1)! x**(2(k-n)) over k > n at
-    x = 2**(-p). Its first TAIL_TERMS terms are summed exactly as num/den:
-    num <- num (2k-2)(2k-1) 4**p + T_k and den <- den (2k-2)(2k-1) 4**p for
-    k = n+1..n+5. Everything beyond them is covered with a 3 percent
-    allowance: consecutive terms of the tangent series shrink by at least a
-    factor (pi/2)**2 per order, so at x <= 1/4 each tail term is under 0.026
-    of its predecessor. So n passes iff 0 < num and 103 num < 10 den.
-    """
-    if len(tangent) < 2 + TAIL_TERMS:
-        raise ValueError("need a row [T_1..T_(N+5)] with N >= 2")
-    verdicts = []
-    for n in range(2, len(tangent) - TAIL_TERMS + 1):
-        p = least_half_block_bits(n)
-        num, den = 0, 1
-        for k in range(n + 1, n + TAIL_TERMS + 1):
-            step = (2 * k - 2) * (2 * k - 1) << (2 * p)
-            num, den = num * step + tangent[k - 1], den * step
-        verdicts.append(0 < num and 103 * num < 10 * den)
-    return verdicts
 
 
 def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
@@ -330,6 +290,16 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     A bound below 1/2 makes the rounded quotient exactly V, so it bounds
     the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
     budget, and shrinks like (4/(pi e))**(2n).
+
+    The tail term also settles an audit of the row's first five tail terms,
+    T_(n+1)..T_(n+5), plus 3 percent for the rest, against (0, 1/10): a
+    zeta pass holds each |T_k|, k >= 2, below 9/8 of its true value, so on
+    a row of positive entries the audited sum is below
+    1.03 (9/8) 0.0721 < 0.084 at every n <= N - 5. Von Staudt-Clausen pins
+    the sign of T_k only through k = 15; from k = 16 the cross-check, which
+    holds the row to the triangle and the packed engine, rejects a negative
+    one. Past N - 5 the audit read T_(N+1)..T_(N+5), which verify at N
+    never outputs.
 
     (2n-1)! is a running product. pi is bracketed to 32 bits and pi_lo**(2n)
     rounded down to 64 bits, which loosen (2/pi)**(2n) by less than a factor
@@ -412,7 +382,9 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
     handler and flushes no inherited buffer. An exception comes back with
     the child's formatted traceback, and join raises it from a
     _ChildTraceback of that text, so a traceback printed in the parent
-    shows the child's frames as its cause. The parent always reaps the
+    shows the child's frames as its cause. An exception that does not
+    survive a pickle round trip comes back as a _ChildTraceback of its
+    type name and message. The parent always reaps the
     child, and kills it first if it leaves before join. Otherwise join
     calls work() itself.
     """
@@ -434,7 +406,13 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
             try:
                 outcome = True, work()
             except BaseException as exc:
-                outcome = False, (exc, traceback.format_exc())
+                text = traceback.format_exc()
+                outcome = False, (exc, text)
+                try:  # an exception that cannot be rebuilt goes back as text
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    message = _ChildTraceback(f"{type(exc).__name__}: {exc}")
+                    outcome = False, (message, text)
             with open(write_end, "wb") as pipe:
                 pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -477,13 +455,12 @@ def _unshared_values(n: int) -> dict:
     }
 
 
-def _shared_runs(n: int) -> tuple[list[int], dict, bool]:
-    """The runs that more than one family reads, as (row, runs, exact_miss):
-    the in-place row [T_1..T_(n+5)], the runs dict with the first n of it,
-    the packed tangent blocks, the triangle and the Bernoulli reference, and
-    whether the packed quotient at n misses its rounding budget."""
-    row, _ = tangent_numbers(n + TAIL_TERMS)  # the tail audit reads past T_n
-    runs = {("recurrence", n): (row[:n], None)}  # no check reads its counters
+def _shared_runs(n: int) -> tuple[dict, bool]:
+    """The runs that more than one family reads, as (runs, exact_miss): the
+    runs dict with the in-place row, the packed tangent blocks, the triangle
+    and the Bernoulli reference, and whether the packed quotient at n misses
+    its rounding budget."""
+    runs = {}
     exact_miss = False
     if n >= 2:  # one packed division feeds the cross-check and the k = n audit
         quotient = fastfixed.packed_tangent_params(n)
@@ -491,10 +468,10 @@ def _shared_runs(n: int) -> tuple[list[int], dict, bool]:
         d, den = fastfixed.quotient_rounding_distance(quotient)
         top, bottom = _BUDGET.as_integer_ratio()  # so the test is in integers
         exact_miss = bottom * d >= top * den
-    for (kind, _), engine in ENGINES.items():  # adds the triangle and B_0..B_2n
+    for (kind, _), engine in ENGINES.items():  # the row, triangle and B_0..B_2n
         if engine.label and engine.run:
             engine.values(REACH[kind] * n, runs)
-    return row, runs, exact_miss
+    return runs, exact_miss
 
 
 def full_verification(n: int, precision: int | None = None) -> VerificationReport:
@@ -512,9 +489,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     if precision is not None and precision < 24:  # before any engine runs
         raise ValueError("precision must be at least 24 bits")
     with _beside(lambda: _unshared_values(n), n) as join:
-        row, runs, exact_miss = _shared_runs(n)
+        runs, exact_miss = _shared_runs(n)
         try:
-            checks = _families(n, row, runs, exact_miss, precision)
+            checks = _families(n, runs, exact_miss, precision)
         except Exception:
             join()  # an unshared engine's fault would have come first
             raise
@@ -523,7 +500,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
 
 
 def _families(
-    n: int, row: list[int], runs: dict, exact_miss: bool, precision: int | None
+    n: int, runs: dict, exact_miss: bool, precision: int | None
 ) -> list[CheckResult]:
     """Every family but the cross-check, on the shared runs, in report order."""
     bernoulli = ENGINES["bernoulli", "recurrence"].values(2 * n, runs)
@@ -540,13 +517,8 @@ def _families(
     zeta = (_zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
     witness = None if n > 1 else "checked: none"  # its first index is B_4
     checks.append(_first_miss("zeta ratio enclosure", zeta, witness))
-    checks.extend(size_checks(row[:n]))
 
     if n >= 2:
-        tail = (f"n={k}" for k, ok in enumerate(tangent_tail_audit(row), 2) if not ok)
-        audited = f"audited n = 2..{n}"
-        checks.append(_first_miss("packed-quotient tail bound", tail, audited))
-
         # the closed form covers every k; one exact audit checks the engine
         top, bottom = _BUDGET.as_integer_ratio()
         bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))

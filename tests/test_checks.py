@@ -22,9 +22,7 @@ from btseq.checks import (
     cross_check,
     full_verification,
     pi_bounds,
-    size_checks,
     stability_contrast,
-    tangent_tail_audit,
     von_staudt_clausen,
 )
 from btseq.cli import run_cli
@@ -40,6 +38,21 @@ UNSHARED = (
     "akiyama_tanigawa_bernoulli",
     "bernoulli_via_series",
 )
+
+
+class TwoArgError(Exception):
+    """Built from two arguments, so pickle cannot rebuild it from its args."""
+
+    def __init__(self, what, m):
+        super().__init__(f"{what} at {m}")
+
+
+class LambdaError(Exception):
+    """Holds a lambda, so pickle cannot write it."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
 
 
 def cpus(monkeypatch, count):
@@ -125,9 +138,9 @@ def rounding_budget_bounds(last):
     return enumerate(itertools.islice(checks._rounding_budget_bounds(), last - 1), 2)
 
 
-# Predicates that von Staudt-Clausen and the zeta enclosure already decide,
-# so verify runs no family for them; TestImpliedFamilies checks each
-# implication against these oracles.
+# Predicates that von Staudt-Clausen, the zeta enclosure and the closed-form
+# rounding budget already decide, so verify runs no family for them;
+# TestImpliedFamilies checks each implication against these oracles.
 
 
 def fermat_oracle(m, b):
@@ -195,9 +208,43 @@ def zeta_passing_range(k, n):
     return math.floor(low) + 1, math.ceil(high) - 1
 
 
+def staudt_step(k):
+    """The step between the T_k whose tangent routes pass von Staudt-Clausen:
+    B_2k = +-k T_k / D with D = 2**(2k-1) (4**k - 1), and two values of B_2k
+    both pass iff they differ by an integer."""
+    d = (1 << (2 * k - 1)) * (4**k - 1)
+    return d // math.gcd(k, d)
+
+
+def passing_values(k, n, true):
+    """(least, largest) positive T_k whose tangent route passes both von
+    Staudt-Clausen and the zeta family at the pi precision verify uses at n,
+    given the true T_k."""
+    least, largest = zeta_passing_range(k, n)
+    step = staudt_step(k)
+    up, down = (least - true) // -step * -step, (largest - true) // step * step
+    return true + up, true + down
+
+
+def growth_oracle(tangent):
+    """The growth-rate family on [T_1..T_n]: the bit length of T_n is within
+    20 percent of 2n lg n once n >= 50; below that there is no check."""
+    n = len(tangent)
+    if n < 50:
+        return True
+    return 0.8 <= tangent[-1].bit_length() / (2 * n * math.log2(n)) <= 1.2
+
+
+def lg_growth_floor(n):
+    """lg of A = 2 (2n-1)! (4**n - 1) / pi**(2n), which a zeta pass keeps
+    below |T_n| (and 9/8 A above it)."""
+    lg_factorial = math.lgamma(2 * n) / math.log(2)
+    return 1 + lg_factorial + math.log2(4**n - 1) - 2 * n * math.log2(math.pi)
+
+
 def tail_oracle(n, tangent):
-    """Whether the tail audit at n passes, by the exact Fraction sum over
-    T_(n+1)..T_(n+5) with its 3 percent allowance."""
+    """The tail-audit family at n: the exact Fraction sum over
+    T_(n+1)..T_(n+5), with its 3 percent allowance, lies in (0, 1/10)."""
     p = fastfixed.least_half_block_bits(n)
     explicit = Fraction(0)
     ratio = 1  # (2k-1)!/(2n-1)!
@@ -358,6 +405,12 @@ class TestVonStaudtClausen:
         with pytest.raises(ValueError):
             von_staudt_clausen(7, Fraction(1))
 
+    def test_one_sieve_per_power_of_two(self):
+        # verify -n 129 reads B_2..B_258; the sieves run to 4, 8, ..., 512
+        checks._primes_to.cache_clear()
+        assert full_verification(129).all_pass
+        assert checks._primes_to.cache_info().currsize <= (259).bit_length()
+
 
 class TestZetaRatio:
     def test_zeta_four(self):
@@ -500,10 +553,12 @@ def mutated_values(least, largest, true):
 
 
 class TestImpliedFamilies:
-    """Three facts verify runs no family for, since none could change its
-    verdict: von Staudt-Clausen decides the Fermat predicate, and the zeta
-    enclosure decides the coefficient bound at k >= 2 and the bit gap.
-    T_1 is read by the cross-check alone."""
+    """Five facts verify runs no family for: von Staudt-Clausen decides the
+    Fermat predicate; the zeta enclosure decides the coefficient bound at
+    k >= 2, the bit gap and the growth rate; and on rows of positive
+    entries, the zeta enclosure with the closed-form rounding budget decides
+    the tail audit. T_1 and the sign of T_k from k = 16 on are read by the
+    cross-check alone."""
 
     def test_fermat_implied_at_every_index_to_600(self, bernoulli_600):
         # von Staudt-Clausen passing pins den(b) to one product of primes,
@@ -600,19 +655,130 @@ class TestImpliedFamilies:
         if zeta_verdicts(tangent)[-1]:
             assert bit_gap_oracle(tangent, bernoulli_from_tangent(tangent))
 
+    @pytest.mark.parametrize("n", [50, 129, 300])
+    def test_zeta_passing_ends_pass_the_growth_rate(self, n):
+        tangent = tangent_numbers(n)[0]
+        least, largest = zeta_passing_range(n, n)
+        for t in (least, largest):
+            tangent[-1] = t
+            assert zeta_verdicts(tangent)[-1]
+            assert growth_oracle(tangent)
+
+    def test_true_rows_pass_the_growth_rate_to_1200(self):
+        row = tangent_numbers(1200)[0]
+        for n in range(50, 1201):
+            assert growth_oracle(row[:n]), n
+
+    def test_growth_rate_margins(self):
+        # a zeta pass puts lg|T_n| between lg A and lg A + lg(9/8); the bit
+        # length is at most one more
+        assert 2.46 < lg_growth_floor(50) - 1.6 * 50 * math.log2(50) < 2.47
+        low = [lg_growth_floor(n) - 1.6 * n * math.log2(n) for n in range(18, 5001)]
+        assert all(a < b for a, b in zip(low, low[1:]))  # grows from n = 18
+        for n in range(50, 5001):
+            assert 2.4 * n * math.log2(n) - lg_growth_floor(n) - 1 > 220, n
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(50, 300), st.data())
+    def test_growth_rate_implied_on_mutated_values(self, n, data):
+        tangent = tangent_numbers(n)[0]
+        least, largest = zeta_passing_range(n, n)
+        tangent[-1] = data.draw(mutated_values(least, largest, tangent[-1]))
+        if zeta_verdicts(tangent)[-1]:
+            assert growth_oracle(tangent)
+
+    def test_rounding_budget_leaves_the_tail_audit_room(self):
+        # the audited sum is under 9/8 of the tail, which the closed form
+        # bounds; with its 3 percent allowance it must stay under 1/10
+        for n, (num, den) in rounding_budget_bounds(600):
+            assert 103 * 9 * num < 10 * 8 * den, n
+
+    @pytest.mark.parametrize("last", [40, 129])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_tail_audit_implied_on_extreme_rows(self, last, end):
+        # every T_k, k >= 2, at the least or the largest positive value that
+        # passes von Staudt-Clausen and zeta; the audited sum grows with each
+        true = tangent_numbers(last)[0]
+        ends = (passing_values(k, last, true[k - 1]) for k in range(2, last + 1))
+        row = [1] + [pair[end] for pair in ends]
+        bernoulli = bernoulli_from_tangent(row)
+        assert all(staudt_passes(m, bernoulli[m]) for m in range(2, 2 * last + 1, 2))
+        assert all(zeta_verdicts(row))
+        assert all(tail_oracle(n, row) for n in range(2, last - 4))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_tail_audit_implied_on_mutated_rows(self, data):
+        # each T_k, k >= 2, drawn from the positive values that pass von
+        # Staudt-Clausen and zeta: the true one, either end, or any between
+        last = data.draw(st.integers(7, 60))
+        row = tangent_numbers(last)[0]
+        for k in range(2, last + 1):
+            least, largest = passing_values(k, last, row[k - 1])
+            step = staudt_step(k)
+            between = st.integers(0, (largest - least) // step)
+            row[k - 1] = data.draw(
+                st.one_of(
+                    st.sampled_from([row[k - 1], least, largest]),
+                    between.map(lambda j: least + j * step),  # drawn at once
+                )
+            )
+        bernoulli = bernoulli_from_tangent(row)
+        assert all(staudt_passes(m, bernoulli[m]) for m in range(2, 2 * last + 1, 2))
+        assert all(zeta_verdicts(row))
+        assert all(tail_oracle(n, row) for n in range(2, last - 4))
+
+    def test_raised_entry_fails_the_tail_oracle(self):
+        # T_36 (293 bits) raised to 393 bits puts the n = 35 tail, whose first
+        # term is T_36 / (70 * 71 * 2**360), far above 1/10
+        row = tangent_numbers(40)[0]
+        assert all(tail_oracle(n, row) for n in range(2, 36))
+        row[35] <<= 100
+        assert not tail_oracle(35, row)
+
+    def test_sign_is_pinned_by_staudt_through_fifteen_only(self, capsys, monkeypatch):
+        # a negative T_k passes both von Staudt-Clausen and zeta when some
+        # -T in the zeta range is congruent to T_k modulo the staudt step
+        true = tangent_numbers(40)[0]
+
+        def negative(k):
+            least, largest = zeta_passing_range(k, 40)
+            step = staudt_step(k)
+            rest = true[k - 1] % step  # the least such value at or above -largest
+            t = rest - (largest + rest) // step * step
+            return t if t <= -least else None
+
+        assert [negative(k) for k in range(2, 16)] == [None] * 14
+        row = list(true)
+        row[15] = negative(16)
+        bernoulli = bernoulli_from_tangent(row)
+        assert all(staudt_passes(m, bernoulli[m]) for m in range(2, 81, 2))
+        assert all(zeta_verdicts(row))
+        # the old tail audit sees it only where T_16 leads the sum
+        assert [n for n in range(2, 36) if not tail_oracle(n, row)] == [15]
+        # verify rejects it through the cross-check
+        monkeypatch.setattr(engines, "tangent_numbers", lambda n: (row[:n], None))
+        code = run_cli(["verify", "-n", "40"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        failed = "FAIL tangent: in-place vs packed-division  [position 15:"
+        assert lines[0].startswith(failed)
+        assert "PASS von staudt-clausen denominators" in lines
+        assert "PASS zeta ratio enclosure" in lines
+
     def test_wrong_first_tangent_number_fails_the_cross_check(
         self, capsys, monkeypatch
     ):
         # T_1 = 7 makes B_2 = 7/6, which von Staudt-Clausen accepts
         # (7/6 + 1/2 + 1/3 = 2); the zeta family starts at B_4
-        original = checks.tangent_numbers
+        original = engines.tangent_numbers
 
         def wrong_first(n, *args):
             values, counters = original(n, *args)
             values[0] = 7
             return values, counters
 
-        monkeypatch.setattr(checks, "tangent_numbers", wrong_first)
+        monkeypatch.setattr(engines, "tangent_numbers", wrong_first)
         code = run_cli(["verify", "-n", "40"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
@@ -622,21 +788,22 @@ class TestImpliedFamilies:
 
 
 class TestSizeChecks:
+    """The oracles of the size families verify no longer runs (coefficient
+    bound, bit gap, growth rate), held to known verdicts, so the
+    implication tests in TestImpliedFamilies cannot pass on an oracle that
+    accepts everything."""
+
     def test_fifty_terms(self):
-        results = size_checks(tangent_numbers(50)[0])
-        assert results == (checks.CheckResult("tangent bit growth rate", True),)
+        assert growth_oracle(tangent_numbers(50)[0])
 
     def test_single_term(self):
-        assert size_checks([1]) == ()
+        # below n = 50 there is no growth-rate check
+        assert growth_oracle([1])
 
     def test_coefficient_bound_spot_value(self):
         # the k = 4 instance of the bound: 272 * pi**6 <= 7! * 4**3
         _, pi_hi = pi_fractions()
         assert 272 * pi_hi**6 <= 5040 * 64
-
-    # the coefficient-bound and bit-gap tests below hold those oracles to
-    # known verdicts, so the implication tests in TestImpliedFamilies
-    # cannot pass on an oracle that accepts everything
 
     def test_true_values_pass_the_coefficient_bound(self):
         assert all(coefficient_oracle(tangent_numbers(300)[0]))
@@ -673,25 +840,18 @@ class TestSizeChecks:
         assert bit_gap_oracle(tangent, bernoulli)
         bernoulli[100] *= 2**200
         assert not bit_gap_oracle(tangent, bernoulli)
-        assert size_checks(tangent)[0].passed
+        assert growth_oracle(tangent)
 
     @pytest.mark.parametrize(
-        "t_50,ratio",
-        [(lambda t: t << 400, "1.513"), (lambda t: 1, "0.002")],
-        ids=["inflated", "shrunk"],
+        "t_50", [lambda t: t << 400, lambda t: 1], ids=["inflated", "shrunk"]
     )
-    def test_resized_last_value_fails_the_growth_rate(self, t_50, ratio):
+    def test_resized_last_value_fails_the_growth_rate(self, t_50):
+        # bit length over 2n lg n goes from 0.80 to 1.51, or to 0.002
         tangent = tangent_numbers(50)[0]
         bernoulli = bernoulli_from_tangent(tangent)
         tangent[-1] = t_50(tangent[-1])
         assert not bit_gap_oracle(tangent, bernoulli)
-        assert size_checks(tangent) == (
-            checks.CheckResult("tangent bit growth rate", False, f"ratio={ratio}"),
-        )
-
-    def test_rejects_an_empty_row(self):
-        with pytest.raises(ValueError):
-            size_checks([])
+        assert not growth_oracle(tangent)
 
 
 class TestFermatDenominator:
@@ -709,50 +869,6 @@ class TestFermatDenominator:
 
     def test_large_prime_cofactor_fails(self):
         assert not fermat_oracle(6, Fraction(1, 2 * 1009))
-
-
-class TestTangentTailAudit:
-    def test_bounds_ordered_and_small(self):
-        assert tangent_tail_audit(tangent_numbers(35)[0]) == [True] * 29
-
-    def test_agrees_with_the_fraction_sum(self):
-        row = tangent_numbers(65)[0]
-        assert tangent_tail_audit(row) == [tail_oracle(n, row) for n in range(2, 61)]
-        assert all(tangent_tail_audit(row))
-
-    @pytest.mark.parametrize("k", [9, 20, 40, 60])
-    def test_raised_value_agrees_with_the_fraction_sum(self, k):
-        # the least factor on T_k that fails the audit at n = k-1 by the
-        # Fraction sum; the integer audit must flip there too, and agree
-        # with the sum at every other n
-        row = tangent_numbers(65)[0]
-
-        def raised(factor):
-            values = list(row)
-            values[k - 1] *= factor
-            return values
-
-        lo, hi = 1, 2
-        while tail_oracle(k - 1, raised(hi)):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if tail_oracle(k - 1, raised(mid)) else (lo, mid)
-        for factor, holds in ((lo, True), (hi, False)):
-            values = raised(factor)
-            verdicts = tangent_tail_audit(values)
-            assert verdicts == [tail_oracle(n, values) for n in range(2, 61)]
-            assert verdicts[k - 3] is holds
-
-    def test_rejects_small_n(self):
-        # [T_1..T_6] covers only N = 1, below the packing regime
-        with pytest.raises(ValueError):
-            tangent_tail_audit(tangent_numbers(6)[0])
-        assert tangent_tail_audit(tangent_numbers(7)[0]) == [True]
-
-    def test_rejects_row_without_tail_terms(self):
-        with pytest.raises(ValueError):
-            tangent_tail_audit(tangent_numbers(4)[0])
 
 
 class TestStabilityContrast:
@@ -850,32 +966,7 @@ class TestFullVerification:
     def test_midsized_with_floats(self):
         report = full_verification(12, precision=53)
         assert report.all_pass
-        assert len(report.checks) == 13
-
-    def test_tail_audit_states_its_cap(self):
-        report = full_verification(35)
-        tail = [c for c in report.checks if c.name == "packed-quotient tail bound"]
-        assert tail[0].passed
-        assert tail[0].witness == "audited n = 2..35"
-
-    def test_tail_audit_reaches_past_thirty(self, monkeypatch):
-        # T_36 (293 bits) raised to 393 bits puts the k = 35 tail, whose
-        # first term is T_36 / (70 * 71 * 2**360), far above 1/10; only the
-        # audit reads T_36, so every other family still passes
-        original = checks.tangent_numbers
-
-        def raised_t36(n, *args):
-            values, counters = original(n, *args)
-            if len(values) > 35:
-                values[35] <<= 100
-            return values, counters
-
-        monkeypatch.setattr(checks, "tangent_numbers", raised_t36)
-        report = full_verification(35)
-        failed = [c for c in report.checks if not c.passed]
-        assert [(c.name, c.witness) for c in failed] == [
-            ("packed-quotient tail bound", "n=35")
-        ]
+        assert len(report.checks) == 12
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
@@ -883,13 +974,13 @@ class TestFullVerification:
 
     def test_rejects_thin_precision_before_any_engine(self, monkeypatch):
         calls = Counter()
-        original = checks.tangent_numbers
+        original = engines.tangent_numbers
 
         def counted(*args):
             calls["tangent_numbers"] += 1
             return original(*args)
 
-        monkeypatch.setattr(checks, "tangent_numbers", counted)
+        monkeypatch.setattr(engines, "tangent_numbers", counted)
         with pytest.raises(ValueError, match="precision"):
             full_verification(40, precision=23)
         assert calls["tangent_numbers"] == 0
@@ -922,7 +1013,7 @@ class TestFullVerification:
         for key, output in seeded.items():
             if key in unshared:
                 assert output == engines.ENGINES[key[:2]].produce(key[2])[0]
-            elif len(key) == 2:  # a run, its counters dropped when hand-built
+            elif len(key) == 2:  # a run; the packed one is built without counters
                 run, size = key
                 assert output[:-1] == engines.RUNS[run](size)[:-1]
             else:  # the Bernoulli conversion of a tangent run
@@ -967,10 +1058,13 @@ class TestOneRunPerEngine:
             monkeypatch.setattr(module, name, wrapper)
 
         count(fastfixed, "packed_tangent_params")
-        for name in ("atkinson_tangent_secant", "bernoulli_from_tangent", *UNSHARED):
+        for name in (
+            "tangent_numbers",
+            "atkinson_tangent_secant",
+            "bernoulli_from_tangent",
+            *UNSHARED,
+        ):
             count(engines, name)
-        for module in (checks, engines):
-            count(module, "tangent_numbers")
         cpus(monkeypatch, 2)
 
         def calls(pid=None):
@@ -1100,6 +1194,30 @@ class TestSecondProcess:
         assert ", in bernoulli_via_series\n" in cause
         assert raised.count("Traceback (most recent call last):") == 1
 
+    @pytest.mark.parametrize(
+        "error",
+        [lambda m: TwoArgError("series", m), lambda m: LambdaError(f"series at {m}")],
+        ids=["two-args", "lambda-attribute"],
+    )
+    def test_child_fault_pickle_cannot_carry_keeps_its_message(
+        self, monkeypatch, run_both, error
+    ):
+        def bernoulli_via_series(m):
+            raise error(m)
+
+        monkeypatch.setattr(engines, "bernoulli_via_series", bernoulli_via_series)
+        inline, forked = run_both("verify", "-n", "75")
+        name = type(error(150)).__name__
+        for code, out, err in (inline, forked):
+            assert (code, out) == (3, "")
+            assert err.startswith("internal error:\n")
+            assert err.endswith(f"{name}: series at 150\n")
+            assert ", in bernoulli_via_series\n" in err
+        # the forked path raises the message from the child's traceback
+        cause, raised = forked[2].split("\nThe above exception was the direct cause")
+        assert ", in bernoulli_via_series\n" in cause
+        assert raised.endswith(f"_ChildTraceback: {name}: series at 150\n")
+
     def test_parent_fault_exits_three_and_kills_the_child(
         self, monkeypatch, run_both
     ):
@@ -1117,7 +1235,7 @@ class TestSecondProcess:
             # a shared run fails before the unshared engines would run
             ((fastfixed, "packed_tangent_params"), "packed_tangent_params"),
             # an unshared engine fails before the other families would run
-            ((checks, "size_checks"), "akiyama_tanigawa_bernoulli"),
+            ((checks, "_zeta_enclosures"), "akiyama_tanigawa_bernoulli"),
         ],
     )
     def test_faults_surface_in_serial_order(
