@@ -108,30 +108,38 @@ def _mismatches(left, right) -> Iterator[str]:
     yield f"lengths differ: {len(left)} != {len(right)}"
 
 
-def cross_check(n: int, runs: dict | None = None) -> VerificationReport:
-    """Compare each sequence's reference engine with every other engine that
-    has a cross-check label, at the reach of n tangent numbers. The entries
-    that name one run share it through runs, so each shared run is made once
-    per size. A caller may hand in, as runs, outputs it has made itself: a
-    run's output under (run, m), and an entry that shares no run as its
-    values at m under (sequence, name, m)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    runs = {} if runs is None else runs
+def _labelled() -> list[tuple[str, str]]:
+    """The ENGINES keys that carry a cross-check label, in table order."""
+    return [key for key, engine in ENGINES.items() if engine.label]
 
-    def values(key: tuple[str, str], m: int) -> list:
-        return runs[(*key, m)] if (*key, m) in runs else ENGINES[key].values(m, runs)
 
+def _outputs(n: int, keys: Iterable[tuple[str, str]]) -> dict:
+    """The values of each entry in keys at the reach of n tangent numbers,
+    keyed as ENGINES is; the entries that name one run share it."""
+    runs = {}
+    return {key: ENGINES[key].values(REACH[key[0]] * n, runs) for key in keys}
+
+
+def _compare(outputs: dict) -> tuple[CheckResult, ...]:
+    """Compare each sequence's reference output with every other labelled
+    entry's; outputs holds the values of every labelled key at one reach."""
     checks = []
-    for sequence, reach in REACH.items():
-        labelled = [key for key, e in ENGINES.items() if e.label and key[0] == sequence]
-        reference, *others = labelled
-        expected = values(reference, reach * n)
+    for sequence in REACH:
+        reference, *others = [key for key in _labelled() if key[0] == sequence]
         for key in others:
             name = f"{sequence}: {ENGINES[reference].label} vs {ENGINES[key].label}"
-            misses = _mismatches(expected, values(key, reach * n))
+            misses = _mismatches(outputs[reference], outputs[key])
             checks.append(_first_miss(name, misses))
-    return VerificationReport(n, tuple(checks))
+    return tuple(checks)
+
+
+def cross_check(n: int) -> VerificationReport:
+    """Compare each sequence's reference engine with every other engine that
+    has a cross-check label, at the reach of n tangent numbers. The entries
+    that name one run share it, so each run is made once per call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return VerificationReport(n, _compare(_outputs(n, _labelled())))
 
 
 def von_staudt_clausen(m: int, b: Fraction) -> int:
@@ -385,8 +393,8 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
     shows the child's frames as its cause. An exception that does not
     survive a pickle round trip comes back as a _ChildTraceback of its
     type name and message. The parent always reaps the
-    child, and kills it first if it leaves before join. Otherwise join
-    calls work() itself.
+    child, and kills it first if it leaves before join. Otherwise, or if
+    the fork fails, join calls work() itself.
     """
     cpus = getattr(os, "sched_getaffinity", None)
     if n < _FORK_FROM or not cpus or len(cpus(0)) < 2 or threading.active_count() > 1:
@@ -397,7 +405,13 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
     import traceback
 
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run inline, as on one CPU
+        os.close(read_end)
+        os.close(write_end)
+        yield work
+        return
     if not pid:
         status = 1
         try:
@@ -445,65 +459,48 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
             os.waitpid(pid, 0)
 
 
-def _unshared_values(n: int) -> dict:
-    """The values of every labelled entry that shares no run, keyed as
-    cross_check reads them; the cross-check is their only reader."""
-    return {
-        (kind, name, REACH[kind] * n): engine.values(REACH[kind] * n, {})
-        for (kind, name), engine in ENGINES.items()
-        if engine.label and not engine.run
-    }
-
-
-def _shared_runs(n: int) -> tuple[dict, bool]:
-    """The runs that more than one family reads, as (runs, exact_miss): the
-    runs dict with the in-place row, the packed tangent blocks, the triangle
-    and the Bernoulli reference, and whether the packed quotient at n misses
-    its rounding budget."""
-    runs = {}
-    exact_miss = False
-    if n >= 2:  # one packed division feeds the cross-check and the k = n audit
-        quotient = fastfixed.packed_tangent_params(n)
-        runs["fast", n] = fastfixed.read_blocks(quotient), None
-        d, den = fastfixed.quotient_rounding_distance(quotient)
-        top, bottom = _BUDGET.as_integer_ratio()  # so the test is in integers
-        exact_miss = bottom * d >= top * den
-    for (kind, _), engine in ENGINES.items():  # the row, triangle and B_0..B_2n
-        if engine.label and engine.run:
-            engine.values(REACH[kind] * n, runs)
-    return runs, exact_miss
-
-
 def full_verification(n: int, precision: int | None = None) -> VerificationReport:
     """Run every check family at size n; optionally add the float contrast.
     Each engine runs once, and every family that reads its output shares it.
 
-    The labelled entries that share no run are made beside the rest
-    (_beside), and a fault surfaces in serial order: first one in the
-    shared runs, then one in those entries, then one in the other families.
-    The report is the same wherever they ran. No multi-Mbit int of the
-    packed run outlives _shared_runs.
+    The outputs of the labelled entries fill one dict keyed as ENGINES is.
+    Those that share no run are made beside the rest (_beside). The packed
+    tangent division gives the blocks under ("tangent", "fast") and its
+    rounding audit at n; no multi-Mbit int of it outlives that audit. A
+    fault surfaces in serial order: first one in the shared runs, then one
+    in the unshared entries, then one in the other families. The report is
+    the same wherever they ran.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if precision is not None and precision < 24:  # before any engine runs
         raise ValueError("precision must be at least 24 bits")
-    with _beside(lambda: _unshared_values(n), n) as join:
-        runs, exact_miss = _shared_runs(n)
+    unshared = [key for key in _labelled() if not ENGINES[key].run]
+    with _beside(lambda: _outputs(n, unshared), n) as join:
+        outputs, exact_miss = {}, False
+        if n >= 2:  # one packed division feeds the cross-check and the k = n audit
+            quotient = fastfixed.packed_tangent_params(n)
+            outputs["tangent", "fast"] = fastfixed.read_blocks(quotient)
+            d, den = fastfixed.quotient_rounding_distance(quotient)
+            top, bottom = _BUDGET.as_integer_ratio()  # so the test is in integers
+            exact_miss = bottom * d >= top * den
+            del quotient, d, den
+        shared = [k for k in _labelled() if ENGINES[k].run and k not in outputs]
+        outputs.update(_outputs(n, shared))  # the row, triangle and B_0..B_2n
         try:
-            checks = _families(n, runs, exact_miss, precision)
+            checks = _families(n, outputs, exact_miss, precision)
         except Exception:
             join()  # an unshared engine's fault would have come first
             raise
-        runs.update(join())
-    return VerificationReport(n, (*cross_check(n, runs).checks, *checks))
+        outputs.update(join())
+    return VerificationReport(n, (*_compare(outputs), *checks))
 
 
 def _families(
-    n: int, runs: dict, exact_miss: bool, precision: int | None
+    n: int, outputs: dict, exact_miss: bool, precision: int | None
 ) -> list[CheckResult]:
-    """Every family but the cross-check, on the shared runs, in report order."""
-    bernoulli = ENGINES["bernoulli", "recurrence"].values(2 * n, runs)
+    """Every family but the cross-check, on the shared outputs, in report order."""
+    bernoulli = outputs["bernoulli", "recurrence"]
 
     def staudt() -> Iterator[str]:
         for m in range(2, 2 * n + 1, 2):

@@ -8,8 +8,10 @@ An entry whose run field names a run in RUNS projects from that run's
 output: one triangle gives T and S, and a Bernoulli route converts a
 tangent row (it adds no independent evidence, so it has no cross-check
 label). Its producer also takes runs, a dict that one caller keeps for one
-call: each run and conversion is looked up there first and kept there
-once made. Without runs, every call runs its engine again.
+call: each run is looked up there first and kept there once made. Without
+runs, every call runs its engine again. A Bernoulli route converts on
+every call; a caller that reads its values twice keeps them, as verify
+keeps each labelled entry's values under its key in this table.
 
 RUNS and the producers call the engines through this module's global
 names, so rebinding one (a test double, a tracer) reaches every entry
@@ -68,9 +70,7 @@ def _from_run(label: str | None, sequence: str, run: str) -> Engine:
             return output[0][:n], output[-1]
         if sequence == "secant":
             return output[1][: n + 1], output[-1]
-        if (run, m, sequence) not in runs:  # the conversion is shared too
-            runs[run, m, sequence] = bernoulli_from_tangent(output[0])
-        values = runs[run, m, sequence][: n + 1]
+        values = bernoulli_from_tangent(output[0])[: n + 1]
         values += [Fraction(0)] * (n + 1 - len(values))  # odd n: B_n = 0
         return values, output[-1]
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import itertools
+import json
 import math
 import os
 import threading
@@ -989,37 +991,25 @@ class TestFullVerification:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 75])
     def test_hand_built_outputs_match_the_engine_table(self, monkeypatch, n):
-        # full_verification makes every run itself, the unshared entries in
-        # a forked child from n = 64, and hands them to cross_check; each
-        # must stay what the table's own run produces
+        # full_verification makes every output itself, the unshared entries
+        # in a forked child from n = 64, and hands them to _compare in one
+        # dict; each must stay what the table's own entry produces
         handed = []
-        original = checks.cross_check
+        original = checks._compare
 
-        def recording(n, runs=None):
-            handed.append(dict(runs))
-            return original(n, runs)
+        def recording(outputs):
+            handed.append(dict(outputs))
+            return original(outputs)
 
-        monkeypatch.setattr(checks, "cross_check", recording)
+        monkeypatch.setattr(checks, "_compare", recording)
         cpus(monkeypatch, 2)
         assert full_verification(n).all_pass
-        (seeded,) = handed
-        unshared = {
-            (kind, name, engines.REACH[kind] * n)
-            for (kind, name), e in engines.ENGINES.items()
-            if e.label and not e.run
-        }
-        assert unshared <= set(seeded)
-        assert {("recurrence", n), ("fast", n), ("atkinson", n)} <= set(seeded)
-        for key, output in seeded.items():
-            if key in unshared:
-                assert output == engines.ENGINES[key[:2]].produce(key[2])[0]
-            elif len(key) == 2:  # a run; the packed one is built without counters
-                run, size = key
-                assert output[:-1] == engines.RUNS[run](size)[:-1]
-            else:  # the Bernoulli conversion of a tangent run
-                run, size, _ = key
-                tangent = engines.RUNS[run](size)[0]
-                assert output == bernoulli_from_tangent(tangent)
+        (outputs,) = handed
+        labelled = {key for key, e in engines.ENGINES.items() if e.label}
+        assert set(outputs) == labelled
+        for key, values in outputs.items():
+            reach = engines.REACH[key[0]] * n
+            assert values == engines.ENGINES[key].produce(reach)[0]
 
     def test_whole_battery_past_128(self):
         # 130 > 128: the pi precision grows past 256 bits, and the rounding
@@ -1253,6 +1243,46 @@ class TestSecondProcess:
         inline, forked = run_both("verify", "-n", "75")
         assert inline == forked
         assert inline == (3, "", f"integrity error: {first} forced to fail\n")
+
+    def test_wrong_child_engine_fails_its_cross_check_alone(
+        self, monkeypatch, run_both
+    ):
+        original = engines.akiyama_tanigawa_bernoulli
+
+        def one_wrong(m):
+            values = original(m)
+            values[10] += 1
+            return values
+
+        monkeypatch.setattr(engines, "akiyama_tanigawa_bernoulli", one_wrong)
+        inline, forked = run_both("verify", "-n", "75", "--format", "json")
+        assert inline == forked
+        assert inline[0] == 2 and inline[2] == ""
+        failed = [c for c in json.loads(inline[1])["checks"] if not c["passed"]]
+        expected = [c for c in cross_check(75).checks if not c.passed]
+        assert [tuple(c.values()) for c in failed] == expected
+        assert [c.name for c in expected] == [
+            "bernoulli: tangent route vs akiyama-tanigawa"
+        ]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+    def test_failed_fork_runs_inline_and_closes_its_pipe(self, monkeypatch, capsys):
+        refused = []
+
+        def refuse():
+            refused.append(True)
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        cpus(monkeypatch, 1)
+        assert run_cli(["verify", "-n", "75"]) == 0
+        inline = capsys.readouterr()
+        monkeypatch.setattr(os, "fork", refuse)
+        cpus(monkeypatch, 2)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert run_cli(["verify", "-n", "75"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert capsys.readouterr() == inline
+        assert refused == [True]
 
     def test_child_that_dies_raises_child_process_error(self, monkeypatch, forks):
         def die(n):
