@@ -202,21 +202,23 @@ def _zeta_enclosures(
     """Yield (lo_num, hi_num, den) with lo_num/den <= rho_k <= hi_num/den,
     for k = 2, 3, ... and B_2k taken from values.
 
-    rho_k = |B_2k| (2 pi)**(2k) / (2 (2k)!) equals the zeta value at 2k, so
-    for k >= 2 it lies strictly inside (1, 1 + 2**(1-2k)); pi_bounds at
-    _zeta_pi_bits(k) bits is tight enough to decide that. pi is a pi_bounds
-    triple (lo, hi, shift). (2k)! is a running product, and (2 lo)**(2k) and
-    (2 hi)**(2k) are _outward_powers cut to P = shift + 40 bits, so each
-    index costs a few short multiplications and no gcd. The k cuts widen the
-    enclosure by less than k 2**(3-P), relative: at _zeta_pi_bits(n), shift
-    >= 2k + lg(2k) + 24 for every k <= n, so that is below 2**(-2k-62),
-    and the exact enclosure clears both gaps, each at least 2**(-1-2k), by
-    more than 2**(-2k-8). An index whose short enclosure misses is decided,
+    rho_k = (-1)**(k+1) B_2k (2 pi)**(2k) / (2 (2k)!) equals the zeta value
+    at 2k, sign included, so for k >= 2 it lies strictly inside
+    (1, 1 + 2**(1-2k)); pi_bounds at _zeta_pi_bits(k) bits is tight enough
+    to decide that. A wrong-signed B_2k makes rho_k negative, so its lower
+    end misses 1. pi is a pi_bounds triple (lo, hi, shift). (2k)! is a
+    running product, and (2 lo)**(2k) and (2 hi)**(2k) are _outward_powers
+    cut to P = shift + 40 bits, so each index costs a few short
+    multiplications and no gcd. The k cuts widen the enclosure by less than
+    k 2**(3-P), relative: at _zeta_pi_bits(n), shift >= 2k + lg(2k) + 24
+    for every k <= n, so that is below 2**(-2k-62), and the exact enclosure
+    clears both gaps, each at least 2**(-1-2k), by more than 2**(-2k-8). An index whose short enclosure misses is decided,
     and witnessed, on exact powers instead, so every result is the exact
     enclosure's.
 
-    In verify B_2k is the tangent route of the row, +-k T_k / (2**(2k-1)
-    (4**k - 1)), so three facts about T_k need no check of their own:
+    In verify B_2k is the tangent route of the row, (-1)**(k+1) k T_k /
+    (2**(2k-1) (4**k - 1)), so a pass at k >= 2 pins T_k > 0, and three
+    more facts about T_k need no check of their own:
 
     - the coefficient bound T_k <= (2k-1)! (2/pi)**(2k-2): T_k/(2k-1)! is
       (2/pi)**(2k-2) (8/pi**2) (1 - 4**-k) rho_k, and a pass at k >= 2 gives
@@ -228,7 +230,7 @@ def _zeta_enclosures(
       true value, whose gap is at most 6 from 4k (at k = 2);
     - the growth rate: the bit length of T_n is within 20 percent of
       2n lg n from n = 50 on. With A = 2 (2n-1)! (4**n - 1) / pi**(2n),
-      |T_n| is A rho_n, so a pass at k = n gives A < |T_n| < 9/8 A.
+      T_n is A rho_n, so a pass at k = n gives A < T_n < 9/8 A.
       lg A - 1.6 n lg n is 2.46 bits at n = 50 and grows from n = 18 on
       (each step adds more than 0.4 lg n - 1.7), and 2.4 n lg n exceeds
       lg A + 1 by over 220 bits from n = 50 on.
@@ -240,7 +242,8 @@ def _zeta_enclosures(
     factorial = 2
     for k, b in enumerate(values, start=2):
         factorial *= (2 * k - 1) * (2 * k)  # (2k)!
-        num, den, grid = abs(b.numerator), 2 * factorial * b.denominator, 2 * k * shift
+        num = (-1) ** (k + 1) * b.numerator
+        den, grid = 2 * factorial * b.denominator, 2 * k * shift
         (lo_m, lo_e), (hi_m, hi_e) = next(lo_powers), next(hi_powers)
         low = min(lo_e, hi_e, grid)
         ends = num * lo_m << lo_e - low, num * hi_m << hi_e - low, den << grid - low
@@ -301,13 +304,10 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
 
     The tail term also settles an audit of the row's first five tail terms,
     T_(n+1)..T_(n+5), plus 3 percent for the rest, against (0, 1/10): a
-    zeta pass holds each |T_k|, k >= 2, below 9/8 of its true value, so on
-    a row of positive entries the audited sum is below
-    1.03 (9/8) 0.0721 < 0.084 at every n <= N - 5. Von Staudt-Clausen pins
-    the sign of T_k only through k = 15; from k = 16 the cross-check, which
-    holds the row to the triangle and the packed engine, rejects a negative
-    one. Past N - 5 the audit read T_(N+1)..T_(N+5), which verify at N
-    never outputs.
+    zeta pass holds each T_k, k >= 2, above 0 and below 9/8 of its true
+    value, so the audited sum is below 1.03 (9/8) 0.0721 < 0.084 at every
+    n <= N - 5. Past N - 5 the audit read T_(N+1)..T_(N+5), which verify at
+    N never outputs.
 
     (2n-1)! is a running product. pi is bracketed to 32 bits and pi_lo**(2n)
     rounded down to 64 bits, which loosen (2/pi)**(2n) by less than a factor
@@ -330,6 +330,24 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
         cut_num = (k + 1) << (2 * p + 2)
         cut_den = k * (2 * k + 1) * ((1 << (2 * p + 1)) - 1) ** 2
         yield tail_num * cut_den + cut_num * tail_den, tail_den * cut_den
+
+
+def _rounding_budget(n: int, quotient: fastfixed.PackedQuotient) -> CheckResult:
+    """The packed-quotient rounding family at n >= 2: the closed form at
+    every k = 2..n, then the exact distance of quotient, the packed tangent
+    division at n. A closed-form miss is witnessed before the exact one."""
+    top, bottom = _BUDGET.as_integer_ratio()  # so every test is in integers
+    d, d_den = fastfixed.quotient_rounding_distance(quotient)
+    bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
+    least = min(math.log2(top * den) - math.log2(bottom * num) for num, den in bounds)
+    misses = [
+        f"n={k}: closed form is not below {float(_BUDGET)}"
+        for k, (num, den) in enumerate(bounds, start=2)
+        if bottom * num >= top * den
+    ]
+    misses.append(f"n={n}" if bottom * d >= top * d_den else None)
+    proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
+    return _first_miss("packed-quotient rounding budget", misses, proof)
 
 
 def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
@@ -466,7 +484,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     The outputs of the labelled entries fill one dict keyed as ENGINES is.
     Those that share no run are made beside the rest (_beside). The packed
     tangent division gives the blocks under ("tangent", "fast") and its
-    rounding audit at n; no multi-Mbit int of it outlives that audit. A
+    rounding family at n; no multi-Mbit int of it outlives that family. A
     fault surfaces in serial order: first one in the shared runs, then one
     in the unshared entries, then one in the other families. The report is
     the same wherever they ran.
@@ -477,18 +495,18 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
         raise ValueError("precision must be at least 24 bits")
     unshared = [key for key in _labelled() if not ENGINES[key].run]
     with _beside(lambda: _outputs(n, unshared), n) as join:
-        outputs, exact_miss = {}, False
-        if n >= 2:  # one packed division feeds the cross-check and the k = n audit
+        outputs, budget = {}, []
+        if n >= 2:  # one packed division feeds the cross-check and its budget
             quotient = fastfixed.packed_tangent_params(n)
             outputs["tangent", "fast"] = fastfixed.read_blocks(quotient)
-            d, den = fastfixed.quotient_rounding_distance(quotient)
-            top, bottom = _BUDGET.as_integer_ratio()  # so the test is in integers
-            exact_miss = bottom * d >= top * den
-            del quotient, d, den
+            budget.append(_rounding_budget(n, quotient))
+            del quotient
         shared = [k for k in _labelled() if ENGINES[k].run and k not in outputs]
         outputs.update(_outputs(n, shared))  # the row, triangle and B_0..B_2n
         try:
-            checks = _families(n, outputs, exact_miss, precision)
+            checks = [*_families(n, outputs["bernoulli", "recurrence"]), *budget]
+            if precision is not None:
+                checks.extend(stability_contrast(precision))
         except Exception:
             join()  # an unshared engine's fault would have come first
             raise
@@ -496,11 +514,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     return VerificationReport(n, (*_compare(outputs), *checks))
 
 
-def _families(
-    n: int, outputs: dict, exact_miss: bool, precision: int | None
-) -> list[CheckResult]:
-    """Every family but the cross-check, on the shared outputs, in report order."""
-    bernoulli = outputs["bernoulli", "recurrence"]
+def _families(n: int, bernoulli: list[Fraction]) -> list[CheckResult]:
+    """The Bernoulli families on B_0..B_2n, in report order."""
 
     def staudt() -> Iterator[str]:
         for m in range(2, 2 * n + 1, 2):
@@ -509,30 +524,10 @@ def _families(
             except IntegrityError as exc:
                 yield f"index {m}: {exc}"
 
-    checks = [_first_miss("von staudt-clausen denominators", staudt())]
     enclosures = _zeta_enclosures(bernoulli[4::2], pi_bounds(_zeta_pi_bits(n)))
     zeta = (_zeta_miss(k, *ends) for k, ends in enumerate(enclosures, start=2))
     witness = None if n > 1 else "checked: none"  # its first index is B_4
-    checks.append(_first_miss("zeta ratio enclosure", zeta, witness))
-
-    if n >= 2:
-        # the closed form covers every k; one exact audit checks the engine
-        top, bottom = _BUDGET.as_integer_ratio()
-        bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
-        least = min(
-            math.log2(top * den) - math.log2(bottom * num) for num, den in bounds
-        )
-
-        def budget() -> Iterator[str]:
-            for k, (num, den) in enumerate(bounds, start=2):
-                if bottom * num >= top * den:
-                    yield f"n={k}: closed form is not below {float(_BUDGET)}"
-            if exact_miss:
-                yield f"n={n}"
-
-        proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
-        checks.append(_first_miss("packed-quotient rounding budget", budget(), proof))
-
-    if precision is not None:
-        checks.extend(stability_contrast(precision))
-    return checks
+    return [
+        _first_miss("von staudt-clausen denominators", staudt()),
+        _first_miss("zeta ratio enclosure", zeta, witness),
+    ]

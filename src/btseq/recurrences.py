@@ -209,11 +209,12 @@ def scaled_bernoulli_stable(n: int, precision: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be >= 0")
     rnd = partial(round_float, precision=precision)
+    # the rounded divisor (2d+1)! * 4**d of C_j in row k depends on d = k-j only
+    divisors = [rnd(math.factorial(2 * d + 1) * 4**d) for d in range(n + 1)]
     values: list[Fraction] = []
     for k in range(n + 1):
         acc = rnd(Fraction(1, math.factorial(2 * k) * 4**k))
         for j in range(k):
-            den = math.factorial(2 * k + 1 - 2 * j) * 4 ** (k - j)
-            acc = rnd(acc - rnd(values[j] / rnd(den)))
+            acc = rnd(acc - rnd(values[j] / divisors[k - j]))
         values.append(acc)  # the j = k coefficient is 1/(1! * 4**0) = 1
     return values

@@ -501,14 +501,24 @@ class TestZetaRatio:
     )
     def test_witness_when_an_end_meets_its_bound(self, bernoulli_600, end, witness):
         # B_60 chosen so that one end of the exact enclosure, with exact
-        # powers of the pi bounds, lands on its bound
+        # powers of the pi bounds, lands on its bound; B_60 is negative
         lo, hi, shift = pi_bounds(checks._zeta_pi_bits(30))
         target = (1, 1 + Fraction(1, 2**59))[end]
         scale = 2 * math.factorial(60) << (60 * shift)
-        value = target * Fraction(scale, (2 * (lo, hi)[end]) ** 60)
+        value = -target * Fraction(scale, (2 * (lo, hi)[end]) ** 60)
         assert zeta_result(bernoulli_600, 60, value) == checks.CheckResult(
             "zeta ratio enclosure", False, f"index 60: {witness}"
         )
+
+    @pytest.mark.parametrize(
+        "index,bits", [(4, "1.06"), (32, "1.00"), (200, "1.00"), (600, "1.00")]
+    )
+    def test_wrong_sign_fails_the_lower_end(self, bernoulli_600, index, bits):
+        # -B_2k puts the ratio near -zeta(2k), so the lower end misses 1 by
+        # about 1 + zeta(2k): 1 + zeta(4) is 2**1.06
+        result = zeta_result(bernoulli_600, index, -bernoulli_600[index])
+        witness = f"index {index}: lower end is not above 1, missed by 2**({bits})"
+        assert result == checks.CheckResult("zeta ratio enclosure", False, witness)
 
     def test_builds_no_fraction(self, bernoulli_600, monkeypatch):
         monkeypatch.setattr(checks, "Fraction", None)  # any use would raise
@@ -557,10 +567,9 @@ def mutated_values(least, largest, true):
 class TestImpliedFamilies:
     """Five facts verify runs no family for: von Staudt-Clausen decides the
     Fermat predicate; the zeta enclosure decides the coefficient bound at
-    k >= 2, the bit gap and the growth rate; and on rows of positive
-    entries, the zeta enclosure with the closed-form rounding budget decides
-    the tail audit. T_1 and the sign of T_k from k = 16 on are read by the
-    cross-check alone."""
+    k >= 2, the bit gap and the growth rate; and the zeta enclosure, which
+    also pins the sign of T_k from k = 2, with the closed-form rounding
+    budget decides the tail audit. T_1 is read by the cross-check alone."""
 
     def test_fermat_implied_at_every_index_to_600(self, bernoulli_600):
         # von Staudt-Clausen passing pins den(b) to one product of primes,
@@ -738,9 +747,10 @@ class TestImpliedFamilies:
         row[35] <<= 100
         assert not tail_oracle(35, row)
 
-    def test_sign_is_pinned_by_staudt_through_fifteen_only(self, capsys, monkeypatch):
-        # a negative T_k passes both von Staudt-Clausen and zeta when some
-        # -T in the zeta range is congruent to T_k modulo the staudt step
+    def test_zeta_rejects_a_negative_entry_staudt_passes(self, capsys, monkeypatch):
+        # a negative T_k passes von Staudt-Clausen when some -T whose
+        # absolute value lies in the zeta range is congruent to T_k modulo
+        # the staudt step; the first such k is 16
         true = tangent_numbers(40)[0]
 
         def negative(k):
@@ -755,10 +765,10 @@ class TestImpliedFamilies:
         row[15] = negative(16)
         bernoulli = bernoulli_from_tangent(row)
         assert all(staudt_passes(m, bernoulli[m]) for m in range(2, 81, 2))
-        assert all(zeta_verdicts(row))
+        assert [k for k, ok in enumerate(zeta_verdicts(row), start=2) if not ok] == [16]
         # the old tail audit sees it only where T_16 leads the sum
         assert [n for n in range(2, 36) if not tail_oracle(n, row)] == [15]
-        # verify rejects it through the cross-check
+        # verify rejects it through the zeta family as well as the cross-check
         monkeypatch.setattr(engines, "tangent_numbers", lambda n: (row[:n], None))
         code = run_cli(["verify", "-n", "40"])
         lines = capsys.readouterr().out.splitlines()
@@ -766,7 +776,8 @@ class TestImpliedFamilies:
         failed = "FAIL tangent: in-place vs packed-division  [position 15:"
         assert lines[0].startswith(failed)
         assert "PASS von staudt-clausen denominators" in lines
-        assert "PASS zeta ratio enclosure" in lines
+        zeta = "index 32: lower end is not above 1, missed by 2**(1.00)"
+        assert f"FAIL zeta ratio enclosure  [{zeta}]" in lines
 
     def test_wrong_first_tangent_number_fails_the_cross_check(
         self, capsys, monkeypatch
@@ -1351,6 +1362,30 @@ class TestRoundingBudget:
                 yield (den, den) if k == 3 else (num, den)
 
         monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
+        code = run_cli(["verify", "-n", "5"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert (
+            "FAIL packed-quotient rounding budget  [n=3: closed form is not below 0.12]"
+            in out.splitlines()
+        )
+
+    def test_closed_form_miss_is_witnessed_before_the_exact_one(
+        self, capsys, monkeypatch
+    ):
+        original_bounds = checks._rounding_budget_bounds
+        original_params = fastfixed.packed_tangent_params
+
+        def over_at_three():
+            for k, (num, den) in enumerate(original_bounds(), start=2):
+                yield (den, den) if k == 3 else (num, den)
+
+        def off_by_one(n, half_block_bits=None):
+            params = original_params(n, half_block_bits)
+            return params._replace(packed=params.packed + 1)
+
+        monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
+        monkeypatch.setattr(fastfixed, "packed_tangent_params", off_by_one)
         code = run_cli(["verify", "-n", "5"])
         out = capsys.readouterr().out
         assert code == 2

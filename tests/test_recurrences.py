@@ -10,6 +10,7 @@ q_{0,0} = 1 with S_k = q_{2k,0}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -24,6 +25,7 @@ from btseq.recurrences import (
     secant_numbers,
     tangent_numbers,
 )
+from btseq.softfloat import round_float
 
 # B_0..B_14, the classical table row every engine must reproduce
 BERNOULLI_0_14 = [
@@ -284,6 +286,21 @@ class TestFloatRecurrences:
         for k in range(41):
             target = exact[2 * k] / factorial(2 * k)
             assert relative_error(values[k], target) < Fraction(1, 10**12)
+
+    @pytest.mark.parametrize("precision", [24, 53, 56, 57, 100])
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_stable_matches_the_per_trip_divisor_loop(self, n, precision):
+        # the reference rounds each divisor (2k+1-2j)! * 4**(k-j) afresh on
+        # every inner trip; the engine rounds it once per distance k - j
+        rnd = partial(round_float, precision=precision)
+        values = []
+        for k in range(n + 1):
+            acc = rnd(Fraction(1, factorial(2 * k) * 4**k))
+            for j in range(k):
+                den = factorial(2 * k + 1 - 2 * j) * 4 ** (k - j)
+                acc = rnd(acc - rnd(values[j] / rnd(den)))
+            values.append(acc)
+        assert scaled_bernoulli_stable(n, precision) == values
 
     def test_stable_first_values(self):
         values = scaled_bernoulli_stable(2, 53)
