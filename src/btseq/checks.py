@@ -282,8 +282,7 @@ _BUDGET = Fraction(3, 25)  # 0.12, the packed tangent quotient's rounding budget
 
 def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     """Yield closed-form bounds on the packed tangent quotient's rounding
-    distance at sizes n = 2, 3, ..., as (num, den), left unreduced like
-    quotient_rounding_distance.
+    distance at sizes n = 2, 3, ..., as (num, den), left unreduced.
 
     With x = 2**(-p) the engine's ratio S/C is (2n-1)! x**(1-2n) s/c for the
     n-term sin and cos sums s and c, and the true block sum V is
@@ -301,13 +300,6 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     A bound below 1/2 makes the rounded quotient exactly V, so it bounds
     the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
     budget, and shrinks like (4/(pi e))**(2n).
-
-    The tail term also settles an audit of the row's first five tail terms,
-    T_(n+1)..T_(n+5), plus 3 percent for the rest, against (0, 1/10): a
-    zeta pass holds each T_k, k >= 2, above 0 and below 9/8 of its true
-    value, so the audited sum is below 1.03 (9/8) 0.0721 < 0.084 at every
-    n <= N - 5. Past N - 5 the audit read T_(N+1)..T_(N+5), which verify at
-    N never outputs.
 
     (2n-1)! is a running product. pi is bracketed to 32 bits and pi_lo**(2n)
     rounded down to 64 bits, which loosen (2/pi)**(2n) by less than a factor
@@ -337,7 +329,6 @@ def _rounding_budget(n: int, quotient: fastfixed.PackedQuotient) -> CheckResult:
     every k = 2..n, then the exact distance of quotient, the packed tangent
     division at n. A closed-form miss is witnessed before the exact one."""
     top, bottom = _BUDGET.as_integer_ratio()  # so every test is in integers
-    d, d_den = fastfixed.quotient_rounding_distance(quotient)
     bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
     least = min(math.log2(top * den) - math.log2(bottom * num) for num, den in bounds)
     misses = [
@@ -345,7 +336,7 @@ def _rounding_budget(n: int, quotient: fastfixed.PackedQuotient) -> CheckResult:
         for k, (num, den) in enumerate(bounds, start=2)
         if bottom * num >= top * den
     ]
-    misses.append(f"n={n}" if bottom * d >= top * d_den else None)
+    misses.append(f"n={n}" if bottom * quotient.distance >= top * quotient.den else None)
     proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
     return _first_miss("packed-quotient rounding budget", misses, proof)
 
@@ -388,7 +379,7 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
 
 
 # Least n at which verify runs its unshared engines in a second process: at
-# n = 64 they take about 13 ms, and a fork and join about 5 ms.
+# n = 64 they take about 13 ms, and a fork and join 3.8 ms (median).
 _FORK_FROM = 64
 
 

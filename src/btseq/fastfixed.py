@@ -6,8 +6,8 @@ and one rounded quotient carries every scaled value in its own 2p-bit
 block: the values are far enough apart that one division computes all of
 them at once. Both families build one record, a PackedQuotient: sin over cos
 packs T'_k = (2n-1)!/(2k-1)! * T_k, and 1 over cos packs
-S'_k = (2n)!/(2k)! * S_k. One reader unpacks either record, and one integer
-distance measures how far either rounded quotient sits from its ratio.
+S'_k = (2n)!/(2k)! * S_k. One reader unpacks either record, and each record
+carries its exact rounding distance, read off the division's own remainder.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ class PackedQuotient(NamedTuple):
     """One packed division, packed = round(num * 2**shift / den), at the
     point 2**(-p) for p = half_block_bits. Counted from the bottom, its 2p-bit
     blocks hold top!/m! times the values for m = top, top-2, ..., 3 or 2, and
-    the top block, which takes every remaining bit, holds top! itself."""
+    the top block, which takes every remaining bit, holds top! itself.
+    distance = |num * 2**shift - packed * den| is den times the rounding
+    distance, read off the division's remainder and left unreduced."""
 
     n: int
     half_block_bits: int
@@ -39,6 +41,7 @@ class PackedQuotient(NamedTuple):
     den: int
     shift: int
     packed: int
+    distance: int
 
 
 def _scaled_series(n: int, p: int, terms: int, first: int) -> int:
@@ -68,8 +71,8 @@ def _packed_quotient(n: int, p: int | None, parts: Callable) -> PackedQuotient:
     if p < least:  # outside the packing proof: a bad argument, not a fault
         raise ValueError(f"half_block_bits must be at least {least} at n = {n}")
     top, num, den, shift = parts(p)
-    packed = round_nearest_div(num << shift, den)
-    return PackedQuotient(n, p, top, num, den, shift, packed)
+    packed, distance = round_nearest_div(num << shift, den)
+    return PackedQuotient(n, p, top, num, den, shift, packed, distance)
 
 
 def packed_tangent_params(n: int, half_block_bits: int | None = None) -> PackedQuotient:
@@ -126,10 +129,3 @@ def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq
         return [1] * (n + 1)  # below the n >= 2 packing regime; pinned values
     return read_blocks(packed_secant_params(n, half_block_bits))
 
-
-def quotient_rounding_distance(q: PackedQuotient) -> tuple[int, int]:
-    """Either family's distance from the unrounded ratio, as (d, den) with
-    d = |num * 2**shift - packed * den|, unreduced, so a budget is one integer
-    comparison; packed is multiplied back, with no second division. Below 1/2
-    from the block sum, rounding snaps onto it; verify's tangent budget is 0.12."""
-    return abs((q.num << q.shift) - q.packed * q.den), q.den

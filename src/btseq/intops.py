@@ -76,8 +76,18 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
     return q, r
 
 
-def round_nearest_div(num: int, den: int) -> int:
-    """Round num/den to the nearest integer, halves away from zero."""
+def round_nearest_div(num: int, den: int) -> tuple[int, int]:
+    """Round num/den to the nearest integer q, halves away from zero, and
+    return (q, d) with d = |num - q*den| <= den/2, the exact distance.
+
+    d is read off the remainder of q0, r = _divmod(num, den): it is r, or
+    den - r when q rounds up to q0 + 1, so q is never multiplied back. The
+    pair is audited first: 0 <= r < den, and q0*den + r = num modulo the
+    prime 2**61 - 1, in linear time. A wrong (q0, r) escapes only when its
+    error q0*den + r - num is a nonzero multiple of 2**61 - 1 and r stays
+    in range. In verify such a quotient still changes a packed block and
+    fails the cross-check against the in-place row, provided that row is right.
+    """
     if den <= 0:
         raise ValueError("denominator must be positive")
     if num < 0:
@@ -85,7 +95,10 @@ def round_nearest_div(num: int, den: int) -> int:
     q, r = _divmod(num, den)
     if not 0 <= r < den:
         raise IntegrityError(f"remainder out of range for a {den.bit_length()}-bit divisor")
-    return q + (1 if 2 * r >= den else 0)
+    m = (1 << 61) - 1
+    if (q % m * (den % m) + r) % m != num % m:
+        raise IntegrityError(f"q*den + r misses num mod 2**61 - 1, den {den.bit_length()} bits")
+    return (q + 1, den - r) if 2 * r >= den else (q, r)
 
 
 def exact_div(num: int, den: int) -> int:

@@ -12,7 +12,6 @@ from btseq.fastfixed import (
     fast_tangent_numbers,
     least_half_block_bits,
     packed_tangent_params,
-    quotient_rounding_distance,
 )
 from btseq.recurrences import (
     akiyama_tanigawa_bernoulli,
@@ -104,10 +103,8 @@ def test_criterion_03_scaled_tangent_block_bounds():
 
 
 def test_criterion_04_quotient_rounding_budget():
-    worst = max(
-        Fraction(*quotient_rounding_distance(packed_tangent_params(n)))
-        for n in range(2, 101)
-    )
+    quotients = (packed_tangent_params(n) for n in range(2, 101))
+    worst = max(Fraction(q.distance, q.den) for q in quotients)
     record(
         4,
         f"packed-quotient distance < 0.12 for n = 2..100 (worst {float(worst):.4f})",

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import btseq.checks as checks
 import btseq.engines as engines
 import btseq.fastfixed as fastfixed
+import btseq.intops as intops
 from btseq.checks import (
     cross_check,
     full_verification,
@@ -28,7 +29,7 @@ from btseq.checks import (
     von_staudt_clausen,
 )
 from btseq.cli import run_cli
-from btseq.fastfixed import packed_tangent_params, quotient_rounding_distance
+from btseq.fastfixed import packed_tangent_params
 from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
 
@@ -1339,15 +1340,21 @@ class TestSecondProcess:
         assert full_verification(checks._FORK_FROM - 1).all_pass
 
 
+def over_budget_exact_leg(monkeypatch):
+    """Make the packed tangent record's exact distance den, a whole unit:
+    over the 0.12 budget, with its quotient and blocks intact."""
+    original = fastfixed.packed_tangent_params
+
+    def whole_unit(n, half_block_bits=None):
+        params = original(n, half_block_bits)
+        return params._replace(distance=params.den)
+
+    monkeypatch.setattr(fastfixed, "packed_tangent_params", whole_unit)
+
+
 class TestRoundingBudget:
-    def test_off_by_one_quotient_fails(self, capsys, monkeypatch):
-        original = fastfixed.packed_tangent_params
-
-        def off_by_one(n, half_block_bits=None):
-            params = original(n, half_block_bits)
-            return params._replace(packed=params.packed + 1)
-
-        monkeypatch.setattr(fastfixed, "packed_tangent_params", off_by_one)
+    def test_over_budget_exact_distance_fails(self, capsys, monkeypatch):
+        over_budget_exact_leg(monkeypatch)
         code = run_cli(["verify", "-n", "5"])
         out = capsys.readouterr().out
         assert code == 2
@@ -1374,18 +1381,13 @@ class TestRoundingBudget:
         self, capsys, monkeypatch
     ):
         original_bounds = checks._rounding_budget_bounds
-        original_params = fastfixed.packed_tangent_params
 
         def over_at_three():
             for k, (num, den) in enumerate(original_bounds(), start=2):
                 yield (den, den) if k == 3 else (num, den)
 
-        def off_by_one(n, half_block_bits=None):
-            params = original_params(n, half_block_bits)
-            return params._replace(packed=params.packed + 1)
-
         monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
-        monkeypatch.setattr(fastfixed, "packed_tangent_params", off_by_one)
+        over_budget_exact_leg(monkeypatch)
         code = run_cli(["verify", "-n", "5"])
         out = capsys.readouterr().out
         assert code == 2
@@ -1403,6 +1405,47 @@ class TestRoundingBudget:
         assert budget.witness == (
             "closed form n = 2..6, exact n = 6, least margin 0.74 bits"
         )
+
+
+def quotient_one_high(q, r, den):
+    return q + 1, r
+
+
+def remainder_one_off(q, r, den):
+    if den == 1:  # no other remainder is in range
+        return q, r
+    return q, r + 1 if r + 1 < den else r - 1
+
+
+class TestWrongQuotient:
+    """A _divmod that returns a wrong pair with its remainder still in range
+    passes the range check; the audit modulo 2**61 - 1 must reject it, in
+    the one division every packed engine goes through."""
+
+    @pytest.fixture(params=[quotient_one_high, remainder_one_off], ids=lambda f: f.__name__)
+    def wrong_divmod(self, request, monkeypatch):
+        original = intops._divmod
+
+        def wrong(num, den):
+            q, r = request.param(*original(num, den), den)
+            assert 0 <= r < den  # so only the audit can see it
+            return q, r
+
+        monkeypatch.setattr(intops, "_divmod", wrong)
+
+    def test_round_nearest_div_raises(self, wrong_divmod):
+        for num, den in (7, 2), (36480, 372), (3**9000, 7**3000 + 2):
+            with pytest.raises(IntegrityError, match=r"mod 2\*\*61 - 1"):
+                intops.round_nearest_div(num, den)
+
+    def test_recursive_packed_division_raises(self, wrong_divmod):
+        with pytest.raises(IntegrityError, match=r"mod 2\*\*61 - 1"):
+            packed_tangent_params(300)
+
+    def test_verify_exits_three(self, capsys, wrong_divmod):
+        assert run_cli(["verify", "-n", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "integrity error: q*den + r misses num mod 2**61 - 1" in err
 
 
 def exact_rounding_budget_bounds():
@@ -1459,8 +1502,8 @@ class TestRoundingBudgetBound:
         # it must bound the engine's exact distance; at n = 2 that is 2/31
         # against a bound of 0.0721, and neither term alone reaches it
         for n, (num, den) in rounding_budget_bounds(150):
-            d, d_den = quotient_rounding_distance(packed_tangent_params(n))
-            assert num * d_den >= d * den, n
+            q = packed_tangent_params(n)
+            assert num * q.den >= q.distance * den, n
 
     def test_under_budget_through_a_thousand(self):
         for n, (num, den) in rounding_budget_bounds(1000):

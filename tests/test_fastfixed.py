@@ -15,7 +15,6 @@ from btseq.fastfixed import (
     least_half_block_bits,
     packed_secant_params,
     packed_tangent_params,
-    quotient_rounding_distance,
 )
 from btseq.intops import IntegrityError
 from btseq.recurrences import secant_numbers, tangent_numbers
@@ -176,7 +175,14 @@ class TestFastSecant:
 
 
 def audited_distance(n):
-    return Fraction(*quotient_rounding_distance(packed_tangent_params(n)))
+    q = packed_tangent_params(n)
+    return Fraction(q.distance, q.den)
+
+
+def multiplied_back(q):
+    """The oracle for q.distance: den |ratio - packed| = |num 2**shift - packed den|,
+    by one multiply of the quotient by its divisor."""
+    return abs((q.num << q.shift) - q.packed * q.den)
 
 
 class TestQuotientAudit:
@@ -188,25 +194,23 @@ class TestQuotientAudit:
     def test_distance_under_budget(self, n):
         assert audited_distance(n) < Fraction(12, 100)
 
-    @pytest.mark.parametrize("n", list(range(2, 41)))
+    # every n to 150, cross_engine's largest n, and a recursive division
+    @pytest.mark.parametrize("n", [*range(2, 151), 188, 300])
     def test_integer_distance_matches_fraction(self, n):
         for q in packed_tangent_params(n), packed_secant_params(n):
-            ratio = Fraction(q.num << q.shift, q.den)
-            d, den = quotient_rounding_distance(q)
-            assert den == q.den
-            assert Fraction(d, den) == abs(ratio - q.packed)
+            assert q.distance == multiplied_back(q)
 
     def test_secant_n2_exact_distance(self):
         # 576 * 2**16 = 6341 * 5953 + 763: the 0.1281 that the tangent's
         # 0.12 budget would not cover
-        d, den = quotient_rounding_distance(packed_secant_params(2))
-        assert Fraction(d, den) == Fraction(763, 5953)
-        assert 0.1281 < d / den < 0.1282
+        q = packed_secant_params(2)
+        assert Fraction(q.distance, q.den) == Fraction(763, 5953)
+        assert 0.1281 < q.distance / q.den < 0.1282
 
     def test_secant_distance_under_a_quarter(self):
         for n in range(2, 151):
-            d, den = quotient_rounding_distance(packed_secant_params(n))
-            assert 4 * d < den, n
+            q = packed_secant_params(n)
+            assert 4 * q.distance < q.den, n
 
 
 class TestRecursiveDivisionSize:
@@ -220,8 +224,8 @@ class TestRecursiveDivisionSize:
         assert fast_secant_numbers(300) == secant_numbers(300)[0]
 
     def test_distance_under_budget(self):
-        d, den = quotient_rounding_distance(packed_tangent_params(300))
-        assert 100 * d < 12 * den
+        q = packed_tangent_params(300)
+        assert 100 * q.distance < 12 * q.den
 
 
 class TestTopBlockGuard:

@@ -18,18 +18,21 @@ from btseq.intops import (
 
 class TestRoundNearestDiv:
     def test_examples(self):
-        assert round_nearest_div(7, 2) == 4      # ties round up
-        assert round_nearest_div(5, 2) == 3
-        assert round_nearest_div(4, 2) == 2
-        assert round_nearest_div(0, 3) == 0
-        assert round_nearest_div(2, 3) == 1
-        assert round_nearest_div(1, 3) == 0
+        # (quotient, distance |num - quotient * den|)
+        assert round_nearest_div(7, 2) == (4, 1)      # ties round up
+        assert round_nearest_div(5, 2) == (3, 1)
+        assert round_nearest_div(4, 2) == (2, 0)
+        assert round_nearest_div(0, 3) == (0, 0)
+        assert round_nearest_div(2, 3) == (1, 1)
+        assert round_nearest_div(1, 3) == (0, 1)
 
     @given(st.integers(0, 10**30), st.integers(1, 10**15))
     def test_nearest_property(self, num, den):
-        q = round_nearest_div(num, den)
+        q, d = round_nearest_div(num, den)
         assert q in (num // den, num // den + 1)
         assert abs(q * den - num) * 2 <= den
+        assert d == abs(num - q * den)
+        assert 2 * d <= den
         # the tie goes away from zero
         if abs(q * den - num) * 2 == den:
             assert q == num // den + 1
@@ -91,8 +94,8 @@ class TestRecursiveDivmod:
     def test_large_tie_rounds_up(self, bits, rng):
         den = (rng.getrandbits(bits) | (1 << (bits - 1))) & ~1
         q = rng.getrandbits(bits)
-        assert round_nearest_div(q * den + den // 2, den) == q + 1
-        assert round_nearest_div(q * den + den // 2 - 1, den) == q
+        assert round_nearest_div(q * den + den // 2, den) == (q + 1, den // 2)
+        assert round_nearest_div(q * den + den // 2 - 1, den) == (q, den // 2 - 1)
 
     @given(st.sampled_from(DIVISOR_BITS), st.randoms(use_true_random=False))
     def test_large_exact_div(self, bits, rng):

@@ -17,7 +17,7 @@ from btseq.fastfixed import PackedQuotient, packed_tangent_params
         (BenchRecord, ("algorithm", "n", "wall_time", "counters", "peak_value_bits")),
         (
             PackedQuotient,
-            ("n", "half_block_bits", "top", "num", "den", "shift", "packed"),
+            ("n", "half_block_bits", "top", "num", "den", "shift", "packed", "distance"),
         ),
     ],
 )
@@ -53,4 +53,4 @@ def test_packed_quotient_is_immutable_with_replace():
         quotient.packed += 1
     bumped = quotient._replace(packed=quotient.packed + 1)
     assert bumped.packed == quotient.packed + 1
-    assert bumped[:-1] == quotient[:-1]
+    assert bumped._replace(packed=quotient.packed) == quotient
