@@ -378,9 +378,22 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-# Least n at which verify runs its unshared engines in a second process: at
-# n = 64 they take about 13 ms, and a fork and join 3.8 ms (median).
+# Least n at which verify runs unshared engines in a second process. verify
+# inline against forked, with the split below and the integer-significand
+# contrast (2 vCPUs, one warm process, medians of 21-41 runs): without
+# --precision the fork lost 0.6-1.2 ms at n = 56 and saved 4-6 ms at
+# n = 60-64. With --precision 53 it moved -1.9 to +3.6 ms at n = 40-52,
+# within the spread of its own runs, so the gate reads n alone.
 _FORK_FROM = 64
+
+# Least n at which the second process also makes both secant engines;
+# below it the parent makes them after its shared runs. The parent's own
+# work (packed tangent, rounding budget, shared runs, families) was 0.72,
+# 0.85 and 0.87 of Akiyama-Tanigawa plus the series at n = 129, 175 and
+# 200, and 1.03, 1.02 and 1.08 of it at n = 225, 250 and 275 (medians of
+# 9 in one warm process, 2 vCPUs): from here two packed divisions in one
+# process would be the longer side.
+_SPLIT_FROM = 225
 
 
 class _ChildTraceback(Exception):
@@ -473,19 +486,25 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     Each engine runs once, and every family that reads its output shares it.
 
     The outputs of the labelled entries fill one dict keyed as ENGINES is.
-    Those that share no run are made beside the rest (_beside). The packed
-    tangent division gives the blocks under ("tangent", "fast") and its
-    rounding family at n; no multi-Mbit int of it outlives that family. A
-    fault surfaces in serial order: first one in the shared runs, then one
-    in the unshared entries, then one in the other families. The report is
-    the same wherever they ran.
+    Those that share no run are made beside the rest (_beside), except
+    that below _SPLIT_FROM the secant ones among them are made here, right
+    after the shared runs. The packed tangent division gives the blocks
+    under ("tangent", "fast") and its rounding family at n; no multi-Mbit
+    int of it outlives that family. A fault surfaces in serial order:
+    first one in the shared runs, then one in the unshared entries in
+    table order, then one in the other families. The report is the same
+    wherever they ran.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if precision is not None and precision < 24:  # before any engine runs
         raise ValueError("precision must be at least 24 bits")
     unshared = [key for key in _labelled() if not ENGINES[key].run]
-    with _beside(lambda: _outputs(n, unshared), n) as join:
+    # the unshared secant entries come first in table order, so making
+    # them here keeps the serial fault order with no new join
+    here = [key for key in unshared if key[0] == "secant" and n < _SPLIT_FROM]
+    beside = [key for key in unshared if key not in here]
+    with _beside(lambda: _outputs(n, beside), n) as join:
         outputs, budget = {}, []
         if n >= 2:  # one packed division feeds the cross-check and its budget
             quotient = fastfixed.packed_tangent_params(n)
@@ -493,7 +512,7 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
             budget.append(_rounding_budget(n, quotient))
             del quotient
         shared = [k for k in _labelled() if ENGINES[k].run and k not in outputs]
-        outputs.update(_outputs(n, shared))  # the row, triangle and B_0..B_2n
+        outputs.update(_outputs(n, shared + here))  # row, triangle, B_0..B_2n, secants
         try:
             checks = [*_families(n, outputs["bernoulli", "recurrence"]), *budget]
             if precision is not None:

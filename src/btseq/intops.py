@@ -6,7 +6,8 @@ packed engines in `fastfixed` use; every other module imports only
 `IntegrityError`. There is no block codec: `fastfixed` reads its packed
 blocks off itself.
 
-Both divisions go through `_divmod`, which divides large operands by
+Both divisions go through `_audited_divmod`, which checks each quotient and
+remainder in linear time, over `_divmod`, which divides large operands by
 Burnikel-Ziegler recursion ("Fast Recursive Division", MPI-I-98-1-022,
 1998). It costs a few multiplications of the divisor's size, so over
 CPython's Karatsuba multiply it is sub-quadratic, where the builtin `divmod`
@@ -76,36 +77,44 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
     return q, r
 
 
-def round_nearest_div(num: int, den: int) -> tuple[int, int]:
-    """Round num/den to the nearest integer q, halves away from zero, and
-    return (q, d) with d = |num - q*den| <= den/2, the exact distance.
-
-    d is read off the remainder of q0, r = _divmod(num, den): it is r, or
-    den - r when q rounds up to q0 + 1, so q is never multiplied back. The
-    pair is audited first: 0 <= r < den, and q0*den + r = num modulo the
-    prime 2**61 - 1, in linear time. A wrong (q0, r) escapes only when its
-    error q0*den + r - num is a nonzero multiple of 2**61 - 1 and r stays
-    in range. In verify such a quotient still changes a packed block and
-    fails the cross-check against the in-place row, provided that row is right.
-    """
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    if num < 0:
-        raise ValueError("numerator must be nonnegative")
+def _audited_divmod(num: int, den: int) -> tuple[int, int]:
+    """_divmod(num, den) for den > 0, audited: 0 <= r < den, and
+    q*den + r = num modulo the prime 2**61 - 1, in linear time. A wrong
+    (q, r) escapes only when its error q*den + r - num is a nonzero
+    multiple of 2**61 - 1 and r stays in range."""
     q, r = _divmod(num, den)
     if not 0 <= r < den:
         raise IntegrityError(f"remainder out of range for a {den.bit_length()}-bit divisor")
     m = (1 << 61) - 1
     if (q % m * (den % m) + r) % m != num % m:
         raise IntegrityError(f"q*den + r misses num mod 2**61 - 1, den {den.bit_length()} bits")
+    return q, r
+
+
+def round_nearest_div(num: int, den: int) -> tuple[int, int]:
+    """Round num/den to the nearest integer q, halves away from zero, and
+    return (q, d) with d = |num - q*den| <= den/2, the exact distance.
+
+    d is read off the remainder of q0, r = _audited_divmod(num, den): it is
+    r, or den - r when q rounds up to q0 + 1, so q is never multiplied back.
+    In verify a quotient that escapes the audit still changes a packed
+    block and fails the cross-check against the in-place row, provided
+    that row is right.
+    """
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    if num < 0:
+        raise ValueError("numerator must be nonnegative")
+    q, r = _audited_divmod(num, den)
     return (q + 1, den - r) if 2 * r >= den else (q, r)
 
 
 def exact_div(num: int, den: int) -> int:
-    """Divide two integers and insist the division leaves no remainder."""
-    if den == 0:
-        raise ValueError("division by zero")
-    q, r = _divmod(num, den)
+    """Divide by a positive integer and insist the division, audited as
+    _audited_divmod does, leaves no remainder."""
+    if den <= 0:
+        raise ValueError("divisor must be positive")
+    q, r = _audited_divmod(num, den)
     if r:
         # bit lengths, since large ints cannot be formatted in decimal
         raise IntegrityError(

@@ -6,21 +6,21 @@ each trip is one small multiply and one add. The boustrophedon triangle of
 Atkinson produces both integer families with additions only. The
 Akiyama-Tanigawa triangle is the all-rational route to Bernoulli numbers,
 and two fixed-precision recurrences demonstrate the numerically stable and
-unstable ways of reaching the same values in floating point: each value
-they return is a Fraction that softfloat.round_float produced. Engines
-report operation counters so their cost models can be checked against
-measurement.
+unstable ways of reaching the same values in floating point. Those two
+compute on softfloat's integer pairs (significand, exponent), rounding
+every operation through softfloat.round_ratio, and build Fractions only
+for the values they return. Engines report operation counters so their
+cost models can be checked against measurement.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
-from .softfloat import round_float
+from .softfloat import Float, add, div, mul, round_ratio, to_fraction
 
 TangentSeq = list[int]      # entry k-1 holds T_k, the k-th tangent number
 SecantSeq = list[int]       # entry k holds S_k, the k-th secant number
@@ -175,46 +175,52 @@ def bernoulli_float_unstable(n: int, precision: int) -> list[Fraction]:
     4**m * 2**(1-precision) and the output is useful only as a demonstration
     of that blowup. Binomial coefficients are formed exactly and rounded at
     the point of use, isolating the instability to the recurrence itself.
-    Every operand and every result is rounded by round_float.
+    Every operand and every result is a softfloat integer pair rounded by
+    softfloat.round_ratio; only the returned values become Fractions.
     """
     if precision < 24:
         raise ValueError("precision must be at least 24 bits")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rnd = partial(round_float, precision=precision)
-    values = [Fraction(1), Fraction(-1, 2)]
+    p = precision
+    values = [(1, 0), (-1, -1)]
     for k in range(2, n + 1):
         if k % 2:
             # holding odd entries at exact zero is what drives the growth
-            values.append(Fraction(0))
+            values.append((0, 0))
             continue
-        size = rnd(k + 1)
-        acc = rnd(values[0] + rnd(values[1] * size))
+        size = round_ratio(k + 1, 1, p)
+        acc = add(values[0], mul(values[1], size, p), p)
         for j in range(2, k, 2):
-            acc = rnd(acc + rnd(values[j] * rnd(math.comb(k + 1, j))))
-        values.append(-rnd(acc / size))
-    return values
+            term = mul(values[j], round_ratio(math.comb(k + 1, j), 1, p), p)
+            acc = add(acc, term, p)
+        q, e = div(acc, size, p)
+        values.append((-q, e))
+    return [to_fraction(v) for v in values]
 
 
 def scaled_bernoulli_stable(n: int, precision: int) -> list[Fraction]:
     """Return [C_0..C_n] with C_k = B_{2k}/(2k)!, the well-conditioned route.
 
     Solves sum_{j<=k} C_j / ((2k+1-2j)! * 4**(k-j)) = 1/((2k)! * 4**k) for
-    C_k at fixed precision, every operand and result rounded by round_float;
-    all terms beyond the first carry one sign, so errors grow only
-    quadratically with k.
+    C_k at fixed precision, every operand and result a softfloat integer
+    pair rounded by softfloat.round_ratio; all terms beyond the first carry
+    one sign, so errors grow only quadratically with k.
     """
     if precision < 24:
         raise ValueError("precision must be at least 24 bits")
     if n < 0:
         raise ValueError("n must be >= 0")
-    rnd = partial(round_float, precision=precision)
+    p = precision
     # the rounded divisor (2d+1)! * 4**d of C_j in row k depends on d = k-j only
-    divisors = [rnd(math.factorial(2 * d + 1) * 4**d) for d in range(n + 1)]
-    values: list[Fraction] = []
+    divisors = [
+        round_ratio(math.factorial(2 * d + 1) << 2 * d, 1, p) for d in range(n + 1)
+    ]
+    values: list[Float] = []
     for k in range(n + 1):
-        acc = rnd(Fraction(1, math.factorial(2 * k) * 4**k))
+        acc = round_ratio(1, math.factorial(2 * k) << 2 * k, p)
         for j in range(k):
-            acc = rnd(acc - rnd(values[j] / divisors[k - j]))
+            q, e = div(values[j], divisors[k - j], p)
+            acc = add(acc, (-q, e), p)
         values.append(acc)  # the j = k coefficient is 1/(1! * 4**0) = 1
-    return values
+    return [to_fraction(v) for v in values]

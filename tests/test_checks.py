@@ -34,13 +34,11 @@ from btseq.intops import IntegrityError
 from btseq.recurrences import bernoulli_from_tangent, tangent_numbers
 
 # the engines behind the labelled entries that share no run: verify runs
-# them in a forked child from n = checks._FORK_FROM on
-UNSHARED = (
-    "secant_numbers",
-    "fast_secant_numbers",
-    "akiyama_tanigawa_bernoulli",
-    "bernoulli_via_series",
-)
+# them in a forked child from n = checks._FORK_FROM on, the two secant
+# engines only from n = checks._SPLIT_FROM on
+SECANTS = ("secant_numbers", "fast_secant_numbers")
+AKIYAMA = "akiyama_tanigawa_bernoulli"
+UNSHARED = (*SECANTS, AKIYAMA, "bernoulli_via_series")
 
 
 class TwoArgError(Exception):
@@ -1075,7 +1073,7 @@ class TestOneRunPerEngine:
 
         return calls, packed
 
-    @pytest.mark.parametrize("n", [2, 12, 40, 75])
+    @pytest.mark.parametrize("n", [2, 12, 40, 75, checks._SPLIT_FROM])
     def test_each_engine_once(self, counted, n):
         calls, _ = counted
         assert full_verification(n).all_pass
@@ -1086,8 +1084,14 @@ class TestOneRunPerEngine:
             bernoulli_from_tangent=1,
         )
         assert calls() == shared + Counter(UNSHARED)
-        # from the size gate on, the unshared engines run in the child only
-        here = shared if n >= checks._FORK_FROM else calls()
+        # from the fork gate on, the child makes the unshared Bernoulli
+        # engines, and from the split size on the two secant engines too
+        if n < checks._FORK_FROM:
+            here = calls()
+        elif n < checks._SPLIT_FROM:
+            here = shared + Counter(SECANTS)
+        else:
+            here = shared
         assert calls(os.getpid()) == here
 
     def test_cross_check_alone_runs_the_tangent_row_once(self, counted):
@@ -1119,8 +1123,9 @@ class TestOneRunPerEngine:
 
 class TestSecondProcess:
     """From n = _FORK_FROM on, with a second CPU and one thread, verify runs
-    the entries that share no run in a forked child. Nothing but speed may
-    tell the two paths apart."""
+    entries that share no run in a forked child: the Bernoulli ones, and
+    from n = _SPLIT_FROM on the secant ones too. Nothing but speed may tell
+    the two paths apart."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -1160,6 +1165,8 @@ class TestSecondProcess:
             ["-n", "75"],
             ["-n", "129"],
             ["-n", "75", "--precision", "53"],
+            ["-n", str(checks._SPLIT_FROM - 1)],
+            ["-n", str(checks._SPLIT_FROM)],
         ],
     )
     @pytest.mark.parametrize("fmt", ["plain", "json"])
@@ -1235,9 +1242,22 @@ class TestSecondProcess:
         "broken,first",
         [
             # a shared run fails before the unshared engines would run
-            ((fastfixed, "packed_tangent_params"), "packed_tangent_params"),
+            (
+                [(fastfixed, "packed_tangent_params"), (engines, AKIYAMA)],
+                "packed_tangent_params",
+            ),
             # an unshared engine fails before the other families would run
-            ((checks, "_zeta_enclosures"), "akiyama_tanigawa_bernoulli"),
+            ([(checks, "_zeta_enclosures"), (engines, AKIYAMA)], AKIYAMA),
+            # below the split size the parent's secant engines come before
+            # the child's Bernoulli engines
+            (
+                [(engines, "fast_secant_numbers"), (engines, AKIYAMA)],
+                "fast_secant_numbers",
+            ),
+            (
+                [(engines, "secant_numbers"), (engines, "bernoulli_via_series")],
+                "secant_numbers",
+            ),
         ],
     )
     def test_faults_surface_in_serial_order(
@@ -1249,9 +1269,9 @@ class TestSecondProcess:
 
             return raiser
 
-        unshared = "akiyama_tanigawa_bernoulli"
-        monkeypatch.setattr(engines, unshared, fail(unshared))
-        monkeypatch.setattr(*broken, fail(broken[1]))
+        for module, name in broken:
+            monkeypatch.setattr(module, name, fail(name))
+        assert 75 < checks._SPLIT_FROM
         inline, forked = run_both("verify", "-n", "75")
         assert inline == forked
         assert inline == (3, "", f"integrity error: {first} forced to fail\n")

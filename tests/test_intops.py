@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btseq import intops
+from btseq.fastfixed import packed_tangent_params, read_blocks
 from btseq.intops import (
     _DIV_CUTOFF_BITS,
     IntegrityError,
@@ -127,3 +128,36 @@ class TestExactDiv:
     def test_remainder_raises(self):
         with pytest.raises(IntegrityError):
             exact_div(85, 7)
+
+    def test_rejects_nonpositive_divisor(self):
+        for den in 0, -7:
+            with pytest.raises(ValueError):
+                exact_div(84, den)
+
+    @pytest.fixture
+    def quotient_one_high(self, monkeypatch):
+        """Make _divmod return (q + 1, 0) wherever the true pair is (q, 0):
+        a zero remainder, so only the audit of q can see it. Called after
+        any quotient the test needs is built."""
+
+        def patch():
+            original = intops._divmod
+
+            def one_high(num, den):
+                q, r = original(num, den)
+                return (q + 1, r) if r == 0 else (q, r)
+
+            monkeypatch.setattr(intops, "_divmod", one_high)
+
+        return patch
+
+    def test_wrong_quotient_with_zero_remainder_raises(self, quotient_one_high):
+        quotient_one_high()
+        with pytest.raises(IntegrityError, match=r"mod 2\*\*61 - 1"):
+            exact_div(84, 7)
+
+    def test_read_blocks_rejects_every_block_one_high(self, quotient_one_high):
+        quotient = packed_tangent_params(6)  # a correct quotient
+        quotient_one_high()
+        with pytest.raises(IntegrityError, match=r"mod 2\*\*61 - 1"):
+            read_blocks(quotient)
