@@ -396,87 +396,65 @@ _FORK_FROM = 64
 _SPLIT_FROM = 225
 
 
-class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in _beside's child."""
-
-
 @contextlib.contextmanager
 def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
     """Start work() beside the caller; yield join, which returns what work()
-    returned or raises what it raised.
+    returns or raises what it raises.
 
     A forked child runs work() when n is at least _FORK_FROM, a second CPU
     is ours and no other thread is alive (a fork copies only the thread
-    that calls it). It runs with the collector off and sends its outcome
-    back pickled through a pipe; it leaves by os._exit, so it runs no exit
-    handler and flushes no inherited buffer. An exception comes back with
-    the child's formatted traceback, and join raises it from a
-    _ChildTraceback of that text, so a traceback printed in the parent
-    shows the child's frames as its cause. An exception that does not
-    survive a pickle round trip comes back as a _ChildTraceback of its
-    type name and message. The parent always reaps the
-    child, and kills it first if it leaves before join. Otherwise, or if
-    the fork fails, join calls work() itself.
+    that calls it). It runs with the collector off, sends back only the
+    pickled result through a pipe, and leaves by os._exit, so it runs no
+    exit handler and flushes no inherited buffer. join returns that result
+    if the child exited 0. On every other path (no fork, a failed fork, a
+    fault in the child, a result pickle cannot write, a child that died)
+    join calls work() itself: the engines are deterministic in n, so a
+    fault is raised from the same join as on one CPU, and a dead child's
+    work is recomputed. The parent always reaps the child, and kills it
+    first if it leaves before join.
     """
+    pid = None  # of a child not yet reaped
     cpus = getattr(os, "sched_getaffinity", None)
-    if n < _FORK_FROM or not cpus or len(cpus(0)) < 2 or threading.active_count() > 1:
-        yield work
-        return
-    import pickle  # only a run that forks pays for these imports
-    import signal
-    import traceback
+    if n >= _FORK_FROM and cpus and len(cpus(0)) > 1 and threading.active_count() == 1:
+        import pickle  # only a run that forks pays for these imports
+        import signal
 
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: run inline, as on one CPU
-        os.close(read_end)
-        os.close(write_end)
-        yield work
-        return
-    if not pid:
-        status = 1
+        read_end, write_end = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:  # no process to spare: run inline, as on one CPU
             os.close(read_end)
-            gc.disable()
+            os.close(write_end)
+        if pid == 0:
+            status = 1
             try:
-                outcome = True, work()
-            except BaseException as exc:
-                text = traceback.format_exc()
-                outcome = False, (exc, text)
-                try:  # an exception that cannot be rebuilt goes back as text
-                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-                except Exception:
-                    message = _ChildTraceback(f"{type(exc).__name__}: {exc}")
-                    outcome = False, (message, text)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-    reaped = False
+                os.close(read_end)
+                gc.disable()
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(work(), pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        elif pid:
+            os.close(write_end)
+            pipe = open(read_end, "rb")
 
     def join() -> dict:
-        nonlocal reaped
-        data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"engine process ended with exit code {code}")
-        done, value = pickle.loads(data)
-        if not done:
-            exc, text = value
-            raise exc from _ChildTraceback(f"\n{text.rstrip()}")
-        return value
+        nonlocal pid
+        if pid:
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if not status:
+                return pickle.loads(data)
+        return work()
 
     try:
         yield join
     finally:
-        pipe.close()
-        if not reaped:
+        if pid:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

@@ -98,8 +98,11 @@ def packed_secant_params(n: int, half_block_bits: int | None = None) -> PackedQu
 def read_blocks(q: PackedQuotient) -> list[int]:
     """The values packed in q: [T_1..T_n] or [S_0..S_n]. Every factorial
     ratio must divide its block exactly, and the top block must be exactly
-    top!, since T_1 = S_0 = 1, so a quotient off by a multiple of its unit
-    raises IntegrityError instead of returning a wrong value."""
+    top!, since T_1 = S_0 = 1. So an error that moves the top block, or
+    leaves a higher block off by other than a multiple of its ratio, raises
+    IntegrityError. The lowest block's ratio is 1: an error there alone
+    reads back as T_n or S_n off by as much, left to the rounding budget
+    (tangent only) and the cross-check."""
     width, packed = 2 * q.half_block_bits, q.packed
     mask = (1 << width) - 1
     out, ratio = [], 1  # ratio is top!/m! for the current block's m

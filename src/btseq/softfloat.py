@@ -7,7 +7,7 @@ guard/round/sticky hardware produces. add, mul and div round the exact
 sum, product and quotient of two floats through it, so a fixed-precision
 routine computes on integer significands alone and is bit-reproducible at
 any precision; at 53 bits each operation agrees with the platform double.
-round_float is the same rule on a rational, returned as an exact Fraction.
+to_fraction gives a float's exact value.
 """
 
 from __future__ import annotations
@@ -62,12 +62,3 @@ def to_fraction(x: Float) -> Fraction:
     """The exact value of a float."""
     q, e = x
     return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
-
-
-def round_float(value, precision: int) -> Fraction:
-    """The float nearest to the rational value with a precision-bit
-    significand, ties to even, as an exact Fraction."""
-    if precision < 1:
-        raise ValueError("precision must be positive")
-    value = Fraction(value)
-    return to_fraction(round_ratio(value.numerator, value.denominator, precision))

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -53,6 +54,14 @@ class LambdaError(Exception):
 
     def __init__(self, message):
         super().__init__(message)
+        self.hook = lambda: None
+
+
+class LambdaList(list):
+    """A list that holds a lambda, so pickle cannot write it."""
+
+    def __init__(self, values):
+        super().__init__(values)
         self.hook = lambda: None
 
 
@@ -1125,7 +1134,9 @@ class TestSecondProcess:
     """From n = _FORK_FROM on, with a second CPU and one thread, verify runs
     entries that share no run in a forked child: the Bernoulli ones, and
     from n = _SPLIT_FROM on the secant ones too. Nothing but speed may tell
-    the two paths apart."""
+    the two paths apart: a fault in the child is raised again in the
+    parent, from the same join as on one CPU, and a child that dies or
+    cannot send its result back is recomputed there."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -1192,16 +1203,14 @@ class TestSecondProcess:
 
         monkeypatch.setattr(engines, "bernoulli_via_series", bernoulli_via_series)
         inline, forked = run_both("verify", "-n", "75")
-        for code, out, err in (inline, forked):
-            assert (code, out) == (3, "")
-            assert err.startswith("internal error:\n")
-            assert err.endswith("\nValueError: series forced to fail\n")
-            assert ", in bernoulli_via_series\n" in err
-        # the child's traceback is the cause of the exception join raises
-        assert "direct cause" not in inline[2]
-        cause, raised = forked[2].split("\nThe above exception was the direct cause")
-        assert ", in bernoulli_via_series\n" in cause
-        assert raised.count("Traceback (most recent call last):") == 1
+        # the parent raises the child's fault again from the same join
+        assert inline == forked
+        code, out, err = inline
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error:\n")
+        assert err.endswith("\nValueError: series forced to fail\n")
+        assert ", in bernoulli_via_series\n" in err
+        assert err.count("Traceback (most recent call last):") == 1
 
     @pytest.mark.parametrize(
         "error",
@@ -1216,16 +1225,13 @@ class TestSecondProcess:
 
         monkeypatch.setattr(engines, "bernoulli_via_series", bernoulli_via_series)
         inline, forked = run_both("verify", "-n", "75")
-        name = type(error(150)).__name__
-        for code, out, err in (inline, forked):
-            assert (code, out) == (3, "")
-            assert err.startswith("internal error:\n")
-            assert err.endswith(f"{name}: series at 150\n")
-            assert ", in bernoulli_via_series\n" in err
-        # the forked path raises the message from the child's traceback
-        cause, raised = forked[2].split("\nThe above exception was the direct cause")
-        assert ", in bernoulli_via_series\n" in cause
-        assert raised.endswith(f"_ChildTraceback: {name}: series at 150\n")
+        assert inline == forked
+        code, out, err = inline
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error:\n")
+        assert err.endswith(f".{type(error(150)).__name__}: series at 150\n")
+        assert ", in bernoulli_via_series\n" in err
+        assert err.count("Traceback (most recent call last):") == 1
 
     def test_parent_fault_exits_three_and_kills_the_child(
         self, monkeypatch, run_both
@@ -1316,16 +1322,45 @@ class TestSecondProcess:
         assert capsys.readouterr() == inline
         assert refused == [True]
 
-    def test_child_that_dies_raises_child_process_error(self, monkeypatch, forks):
-        def die(n):
-            os._exit(7)
+    @pytest.mark.parametrize(
+        "misbehave",
+        [
+            lambda values: os._exit(7),
+            lambda values: os.kill(os.getpid(), signal.SIGKILL),
+            LambdaList,
+        ],
+        ids=["exit-7", "sigkill", "unpicklable-result"],
+    )
+    def test_failed_child_is_recomputed(self, monkeypatch, run_both, misbehave):
+        parent, original = os.getpid(), engines.bernoulli_via_series
 
-        monkeypatch.setattr(engines, "bernoulli_via_series", die)
+        def series(m):
+            values = original(m)
+            return values if os.getpid() == parent else misbehave(values)
+
+        monkeypatch.setattr(engines, "bernoulli_via_series", series)
+        inline, forked = run_both("verify", "-n", "75")
+        assert inline == forked
+        assert inline[0] == 0 and inline[2] == ""
+
+    def test_child_fault_runs_the_engine_once_on_each_side(
+        self, monkeypatch, tmp_path, forks
+    ):
+        calls = tmp_path / "calls"
+
+        def bernoulli_via_series(m):
+            with open(calls, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            raise ValueError("series forced to fail")
+
+        monkeypatch.setattr(engines, "bernoulli_via_series", bernoulli_via_series)
         cpus(monkeypatch, 2)
-        with pytest.raises(ChildProcessError, match="exit code 7"):
+        with pytest.raises(ValueError, match="series forced to fail"):
             full_verification(75)
         assert forks[0] == 1
         assert_no_child_left()
+        child, here = calls.read_text().split()
+        assert here == str(os.getpid()) != child
 
     def test_normal_run_leaves_no_child(self, monkeypatch, forks):
         cpus(monkeypatch, 2)

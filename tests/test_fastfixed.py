@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import btseq.fastfixed as fastfixed
+from btseq.checks import full_verification
 from btseq.fastfixed import (
     _scaled_series,
     fast_secant_numbers,
@@ -241,3 +242,47 @@ class TestTopBlockGuard:
         double_top_block(6, 12, 7)
         with pytest.raises(IntegrityError):
             fast_secant_numbers(6)
+
+
+class TestLowestBlock:
+    """The lowest block's factorial ratio is 1, so the reader cannot see an
+    error there: it reads back as T_n or S_n off by the same amount, and
+    the cross-check against the in-place engine must catch it."""
+
+    @pytest.mark.parametrize(
+        "params,exact,check,witness",
+        [
+            (
+                "packed_tangent_params",
+                tangent_numbers,
+                "tangent: in-place vs packed-division",
+                "position 5: a 19-bit value != a 19-bit value",
+            ),
+            (
+                "packed_secant_params",
+                secant_numbers,
+                "secant: in-place vs packed-division",
+                "position 6: a 22-bit value != a 22-bit value",
+            ),
+        ],
+    )
+    def test_off_by_one_is_read_and_fails_the_cross_check(
+        self, monkeypatch, params, exact, check, witness
+    ):
+        original = getattr(fastfixed, params)
+        for n in 2, 5, 30:
+            q = original(n)
+            for off in 1, -1:
+                values = exact(n)[0]
+                values[-1] += off
+                assert fastfixed.read_blocks(q._replace(packed=q.packed + off)) == values
+
+        def one_high(n, half_block_bits=None):
+            q = original(n, half_block_bits)
+            return q._replace(packed=q.packed + 1)
+
+        monkeypatch.setattr(fastfixed, params, one_high)
+        report = full_verification(6)
+        assert [(c.name, c.witness) for c in report.checks if not c.passed] == [
+            (check, witness)
+        ]

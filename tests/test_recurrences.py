@@ -25,7 +25,15 @@ from btseq.recurrences import (
     secant_numbers,
     tangent_numbers,
 )
-from btseq.softfloat import round_float
+from btseq.softfloat import round_ratio, to_fraction
+
+
+def round_float(value, precision: int) -> Fraction:
+    """The rational value rounded to a precision-bit significand, ties to
+    even, as an exact Fraction."""
+    value = Fraction(value)
+    return to_fraction(round_ratio(value.numerator, value.denominator, precision))
+
 
 # B_0..B_14, the classical table row every engine must reproduce
 BERNOULLI_0_14 = [
