@@ -4,7 +4,7 @@ Every engine family is compared pairwise on the same inputs. Bernoulli
 denominators are pinned exactly by the Von Staudt-Clausen theorem, and each
 Bernoulli value is enclosed against the zeta value it equals. The packed
 tangent quotient's rounding distance is bounded in closed form at every
-size and audited exactly at the largest. No family here repeats a fact
+size; its engine audits the exact one. No family here repeats a fact
 those three already settle (see von_staudt_clausen, _zeta_enclosures and
 _rounding_budget_bounds). The fixed-precision recurrences are contrasted
 with exact values. Pi enters only as two integers over one power of two,
@@ -23,9 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import fastfixed
 from .engines import ENGINES, REACH
-from .fastfixed import least_half_block_bits
+from .fastfixed import ROUNDING_BUDGET, least_half_block_bits
 from .intops import IntegrityError
 from .recurrences import bernoulli_float_unstable, scaled_bernoulli_stable
 
@@ -98,14 +97,15 @@ def _bits(value) -> str:
 
 
 def _mismatches(left, right) -> Iterator[str]:
-    """Witnesses that two outputs differ: each differing position, then the
+    """Witnesses that two outputs differ: each differing position, then any
     length mismatch. Equal outputs yield none after one whole-list ==."""
     if list(left) == list(right):
         return
     for index, (a, b) in enumerate(zip(left, right)):
         if a != b:
             yield f"position {index}: a {_bits(a)} value != a {_bits(b)} value"
-    yield f"lengths differ: {len(left)} != {len(right)}"
+    if len(left) != len(right):
+        yield f"lengths differ: {len(left)} != {len(right)}"
 
 
 def _labelled() -> list[tuple[str, str]]:
@@ -136,7 +136,8 @@ def _compare(outputs: dict) -> tuple[CheckResult, ...]:
 def cross_check(n: int) -> VerificationReport:
     """Compare each sequence's reference engine with every other engine that
     has a cross-check label, at the reach of n tangent numbers. The entries
-    that name one run share it, so each run is made once per call."""
+    that name one run share it, so each run is made once per call. The
+    packed tangent run audits its own exact rounding distance."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return VerificationReport(n, _compare(_outputs(n, _labelled())))
@@ -277,9 +278,6 @@ def _first_miss(name: str, misses: Iterable, passed: str | None = None) -> Check
     return CheckResult(name, witness is None, witness or passed)
 
 
-_BUDGET = Fraction(3, 25)  # 0.12, the packed tangent quotient's rounding budget
-
-
 def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
     """Yield closed-form bounds on the packed tangent quotient's rounding
     distance at sizes n = 2, 3, ..., as (num, den), left unreduced.
@@ -298,8 +296,8 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
       remainders of both sums and c, cos x >= 1 - x**2/2.
 
     A bound below 1/2 makes the rounded quotient exactly V, so it bounds
-    the exact distance too. It is largest at n = 2, 0.0721 against the 0.12
-    budget, and shrinks like (4/(pi e))**(2n).
+    the exact distance too. It is largest at n = 2, 0.0721 against the
+    ROUNDING_BUDGET of 0.12, and shrinks like (4/(pi e))**(2n).
 
     (2n-1)! is a running product. pi is bracketed to 32 bits and pi_lo**(2n)
     rounded down to 64 bits, which loosen (2/pi)**(2n) by less than a factor
@@ -324,19 +322,15 @@ def _rounding_budget_bounds() -> Iterator[tuple[int, int]]:
         yield tail_num * cut_den + cut_num * tail_den, tail_den * cut_den
 
 
-def _rounding_budget(n: int, quotient: fastfixed.PackedQuotient) -> CheckResult:
+def _rounding_budget(n: int) -> CheckResult:
     """The packed-quotient rounding family at n >= 2: the closed form at
-    every k = 2..n, then the exact distance of quotient, the packed tangent
-    division at n. A closed-form miss is witnessed before the exact one."""
-    top, bottom = _BUDGET.as_integer_ratio()  # so every test is in integers
+    every k = 2..n. fast_tangent_numbers checks the exact distance of each
+    quotient it reads, so the run the cross-check reads passed it at n."""
+    top, bottom = ROUNDING_BUDGET.as_integer_ratio()  # so every test is in integers
     bounds = list(itertools.islice(_rounding_budget_bounds(), n - 1))
     least = min(math.log2(top * den) - math.log2(bottom * num) for num, den in bounds)
-    misses = [
-        f"n={k}: closed form is not below {float(_BUDGET)}"
-        for k, (num, den) in enumerate(bounds, start=2)
-        if bottom * num >= top * den
-    ]
-    misses.append(f"n={n}" if bottom * quotient.distance >= top * quotient.den else None)
+    over = [k for k, (num, den) in enumerate(bounds, 2) if bottom * num >= top * den]
+    misses = [f"n={k}: closed form is not below {float(ROUNDING_BUDGET)}" for k in over]
     proof = f"closed form n = 2..{n}, exact n = {n}, least margin {least:.2f} bits"
     return _first_miss("packed-quotient rounding budget", misses, proof)
 
@@ -466,9 +460,9 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     The outputs of the labelled entries fill one dict keyed as ENGINES is.
     Those that share no run are made beside the rest (_beside), except
     that below _SPLIT_FROM the secant ones among them are made here, right
-    after the shared runs. The packed tangent division gives the blocks
-    under ("tangent", "fast") and its rounding family at n; no multi-Mbit
-    int of it outlives that family. A fault surfaces in serial order:
+    after the shared runs. The packed tangent run is a shared one, and its
+    engine audits its own exact rounding distance; the rounding family here
+    decides the closed form. A fault surfaces in serial order:
     first one in the shared runs, then one in the unshared entries in
     table order, then one in the other families. The report is the same
     wherever they ran.
@@ -483,16 +477,12 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     here = [key for key in unshared if key[0] == "secant" and n < _SPLIT_FROM]
     beside = [key for key in unshared if key not in here]
     with _beside(lambda: _outputs(n, beside), n) as join:
-        outputs, budget = {}, []
-        if n >= 2:  # one packed division feeds the cross-check and its budget
-            quotient = fastfixed.packed_tangent_params(n)
-            outputs["tangent", "fast"] = fastfixed.read_blocks(quotient)
-            budget.append(_rounding_budget(n, quotient))
-            del quotient
-        shared = [k for k in _labelled() if ENGINES[k].run and k not in outputs]
-        outputs.update(_outputs(n, shared + here))  # row, triangle, B_0..B_2n, secants
+        shared = [key for key in _labelled() if ENGINES[key].run]
+        outputs = _outputs(n, shared + here)  # T rows, triangle, B_0..B_2n, secants
         try:
-            checks = [*_families(n, outputs["bernoulli", "recurrence"]), *budget]
+            checks = _families(n, outputs["bernoulli", "recurrence"])
+            if n >= 2:
+                checks.append(_rounding_budget(n))
             if precision is not None:
                 checks.extend(stability_contrast(precision))
         except Exception:

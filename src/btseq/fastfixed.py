@@ -13,10 +13,13 @@ carries its exact rounding distance, read off the division's own remainder.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .intops import IntegrityError, exact_div, round_nearest_div
 from .recurrences import SecantSeq, TangentSeq
+
+ROUNDING_BUDGET = Fraction(3, 25)  # packed tangent; checks proves it in closed form
 
 
 def least_half_block_bits(n: int) -> int:
@@ -116,12 +119,19 @@ def read_blocks(q: PackedQuotient) -> list[int]:
 
 
 def fast_tangent_numbers(n: int, half_block_bits: int | None = None) -> TangentSeq:
-    """Return [T_1..T_n]; one big division replaces the quadratic sweep."""
+    """Return [T_1..T_n]; one big division replaces the quadratic sweep.
+    Raises IntegrityError where read_blocks does, and when the exact rounding
+    distance reaches ROUNDING_BUDGET, met at every half_block_bits p from the
+    least on: both terms of checks' closed form fall as p grows, as x = 2**(-p)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return [1]  # the packed form needs n >= 2, and T_1 is pinned anyway
-    return read_blocks(packed_tangent_params(n, half_block_bits))
+    q = packed_tangent_params(n, half_block_bits)
+    values = read_blocks(q)
+    if q.distance >= ROUNDING_BUDGET * q.den:
+        raise IntegrityError(f"the packed tangent quotient is over budget at n = {n}")
+    return values
 
 
 def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq:

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: surface the acceptance lines in the summary, and a
-fixture that corrupts the packed quotient's top block."""
+"""Shared pytest wiring: surface the acceptance lines in the summary, a
+fixture that corrupts the packed quotient's top block, and one that puts
+the packed tangent quotient over its rounding budget."""
 
 from __future__ import annotations
 
@@ -37,3 +38,16 @@ def double_top_block(monkeypatch):
         monkeypatch.setattr(fastfixed, "round_nearest_div", doubled)
 
     return apply
+
+
+@pytest.fixture
+def over_budget_exact_leg(monkeypatch):
+    """Make the packed tangent record's exact distance den, a whole unit:
+    over the 0.12 budget, with its quotient and blocks intact."""
+    original = fastfixed.packed_tangent_params
+
+    def whole_unit(n, half_block_bits=None):
+        params = original(n, half_block_bits)
+        return params._replace(distance=params.den)
+
+    monkeypatch.setattr(fastfixed, "packed_tangent_params", whole_unit)

@@ -117,6 +117,13 @@ step_verify-128-one-cpu() {
   btseq verify -n 128 > "$RUNNER_TEMP/verify128.txt"
   taskset -c 0 btseq verify -n 128 > "$RUNNER_TEMP/verify128-one-cpu.txt"
   diff "$RUNNER_TEMP/verify128.txt" "$RUNNER_TEMP/verify128-one-cpu.txt"
+  # both sides of the split size, a forked child below it, and the float
+  # contrast beside a forked child
+  for args in "-n 75" "-n 224" "-n 225" "-n 129 --precision 53"; do
+    btseq verify $args > "$RUNNER_TEMP/verify-two-cpus.txt"
+    taskset -c 0 btseq verify $args > "$RUNNER_TEMP/verify-one-cpu.txt"
+    diff "$RUNNER_TEMP/verify-two-cpus.txt" "$RUNNER_TEMP/verify-one-cpu.txt"
+  done
 }
 
 step_verify-golden() {

@@ -357,6 +357,18 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check(0)
 
+    def test_length_witness_only_when_lengths_differ(self):
+        position = "position 1: a 2-bit value != a 3-bit value"
+        assert list(checks._mismatches([1, 2, 3], [1, 5, 3])) == [position]
+        assert list(checks._mismatches([1, 2], [1, 5, 3])) == [
+            position,
+            "lengths differ: 2 != 3",
+        ]
+
+    def test_over_budget_quotient_raises(self, over_budget_exact_leg):
+        with pytest.raises(IntegrityError, match="over budget at n = 5$"):
+            cross_check(5)
+
 
 class TestVonStaudtClausen:
     def test_known_integers(self):
@@ -1129,6 +1141,23 @@ class TestOneRunPerEngine:
         assert full_verification(1).all_pass
         assert calls()["packed_tangent_params"] == 0
 
+    @pytest.mark.parametrize("n", [2, 40, 75, checks._SPLIT_FROM])
+    def test_packed_tangent_comes_from_its_engine(self, counted, monkeypatch, n):
+        # verify reads the packed blocks through the engine table, so the
+        # engine's own checks run on them; it is a shared run, in this process
+        calls, _ = counted
+        made = []
+        original = engines.fast_tangent_numbers
+
+        def engine(m, *args):
+            made.append(m)
+            return original(m, *args)
+
+        monkeypatch.setattr(engines, "fast_tangent_numbers", engine)
+        assert full_verification(n).all_pass
+        assert made == [n]
+        assert calls(os.getpid())["packed_tangent_params"] == 1
+
 
 class TestSecondProcess:
     """From n = _FORK_FROM on, with a second CPU and one thread, verify runs
@@ -1395,26 +1424,32 @@ class TestSecondProcess:
         assert full_verification(checks._FORK_FROM - 1).all_pass
 
 
-def over_budget_exact_leg(monkeypatch):
-    """Make the packed tangent record's exact distance den, a whole unit:
-    over the 0.12 budget, with its quotient and blocks intact."""
-    original = fastfixed.packed_tangent_params
+def over_budget(n):
+    """The one stderr line of a run whose packed tangent quotient at n is over
+    its budget."""
+    return f"integrity error: the packed tangent quotient is over budget at n = {n}\n"
 
-    def whole_unit(n, half_block_bits=None):
-        params = original(n, half_block_bits)
-        return params._replace(distance=params.den)
 
-    monkeypatch.setattr(fastfixed, "packed_tangent_params", whole_unit)
+def verify_both_ways(monkeypatch, capsys, n):
+    """(exit code, stdout, stderr) of verify -n n on one CPU, then on two."""
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append((run_cli(["verify", "-n", str(n)]), *capsys.readouterr()))
+        assert_no_child_left()
+    return results
 
 
 class TestRoundingBudget:
-    def test_over_budget_exact_distance_fails(self, capsys, monkeypatch):
-        over_budget_exact_leg(monkeypatch)
-        code = run_cli(["verify", "-n", "5"])
-        out = capsys.readouterr().out
-        assert code == 2
-        # the closed form still holds; the exact audit runs at k = N only
-        assert "FAIL packed-quotient rounding budget  [n=5]" in out.splitlines()
+    def test_over_budget_exact_distance_fails(
+        self, capsys, monkeypatch, over_budget_exact_leg
+    ):
+        # the closed form still holds; the engine refuses its own quotient,
+        # below the fork gate and beside a forked child alike
+        assert 5 < checks._FORK_FROM <= 75
+        for n in 5, 75:
+            inline, forked = verify_both_ways(monkeypatch, capsys, n)
+            assert inline == forked == (3, "", over_budget(n))
 
     def test_closed_form_over_budget_fails_at_its_k(self, capsys, monkeypatch):
         original = checks._rounding_budget_bounds
@@ -1432,9 +1467,10 @@ class TestRoundingBudget:
             in out.splitlines()
         )
 
-    def test_closed_form_miss_is_witnessed_before_the_exact_one(
-        self, capsys, monkeypatch
+    def test_engine_fault_surfaces_before_a_closed_form_miss(
+        self, capsys, monkeypatch, over_budget_exact_leg
     ):
+        # the packed run is a shared run, so its fault comes before any family
         original_bounds = checks._rounding_budget_bounds
 
         def over_at_three():
@@ -1442,14 +1478,9 @@ class TestRoundingBudget:
                 yield (den, den) if k == 3 else (num, den)
 
         monkeypatch.setattr(checks, "_rounding_budget_bounds", over_at_three)
-        over_budget_exact_leg(monkeypatch)
-        code = run_cli(["verify", "-n", "5"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert (
-            "FAIL packed-quotient rounding budget  [n=3: closed form is not below 0.12]"
-            in out.splitlines()
-        )
+        for n in 5, 75:
+            inline, forked = verify_both_ways(monkeypatch, capsys, n)
+            assert inline == forked == (3, "", over_budget(n))
 
     def test_witness_names_the_proof(self):
         report = full_verification(6)

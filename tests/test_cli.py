@@ -141,6 +141,24 @@ class TestSequenceCommands:
         assert out == ""
         assert "integrity error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tangent", "-n", "5", "--algorithm", "fast"],
+            ["tangent", "-n", "5", "--algorithm", "all"],
+            ["bench", "-n", "5", "--algorithm", "fast"],
+        ],
+    )
+    def test_over_budget_quotient_exits_three(
+        self, capsys, over_budget_exact_leg, argv
+    ):
+        # the packed engine checks its own rounding distance on every path
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            "integrity error: the packed tangent quotient is over budget at n = 5\n",
+        )
+
     def test_internal_fault_exits_three_not_one(self, capsys, monkeypatch):
         def broken(n):
             raise ValueError("forced for the test")

@@ -214,6 +214,39 @@ class TestQuotientAudit:
             assert 4 * q.distance < q.den, n
 
 
+class TestRoundingBudgetGuard:
+    """fast_tangent_numbers refuses a quotient whose exact distance reaches
+    ROUNDING_BUDGET, at every block width, and accepts one just below it."""
+
+    @pytest.fixture
+    def distance(self, monkeypatch):
+        """distance(f) makes each packed tangent record's distance f(den)."""
+        original = fastfixed.packed_tangent_params
+
+        def apply(f):
+            def params(n, half_block_bits=None):
+                q = original(n, half_block_bits)
+                return q._replace(distance=f(q.den))
+
+            monkeypatch.setattr(fastfixed, "packed_tangent_params", params)
+
+        return apply
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("wider", [0, 1, 7])
+    def test_refuses_at_the_budget(self, distance, n, wider):
+        p = least_half_block_bits(n) + wider
+        top, bottom = fastfixed.ROUNDING_BUDGET.as_integer_ratio()
+        distance(lambda den: (top * den - 1) // bottom)  # just below
+        assert fast_tangent_numbers(n, p) == tangent_numbers(n)[0]
+        distance(lambda den: -(-top * den // bottom))  # the least at or above
+        with pytest.raises(IntegrityError, match=f"over budget at n = {n}$"):
+            fast_tangent_numbers(n, p)
+
+    def test_budget_is_the_documented_one(self):
+        assert fastfixed.ROUNDING_BUDGET == Fraction(12, 100)
+
+
 class TestRecursiveDivisionSize:
     """At n = 300 the big division is 2.96 Mbit by 1.48 Mbit, so it runs
     the recursive divmod several levels deep."""
