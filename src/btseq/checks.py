@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .engines import ENGINES, REACH
 from .fastfixed import ROUNDING_BUDGET, least_half_block_bits
 from .intops import IntegrityError
-from .recurrences import bernoulli_float_unstable, scaled_bernoulli_stable
+from .recurrences import MIN_PRECISION, bernoulli_float_unstable
+from .recurrences import scaled_bernoulli_stable
 
 
 class CheckResult(NamedTuple):
@@ -343,8 +344,8 @@ def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
     which predicts relative error above 1 at index 60 only for precisions
     up to 56 bits; beyond that it is omitted.
     """
-    if precision < 24:
-        raise ValueError("precision must be at least 24 bits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     scale = Fraction(2) ** (53 - precision)
     exact = ENGINES["bernoulli", "recurrence"].produce(80)[0]  # B_0..B_80
     unstable = bernoulli_float_unstable(60, precision)
@@ -396,52 +397,47 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
     returns or raises what it raises.
 
     A forked child runs work() when n is at least _FORK_FROM, a second CPU
-    is ours and no other thread is alive (a fork copies only the thread
-    that calls it). It runs with the collector off, sends back only the
-    pickled result through a pipe, and leaves by os._exit, so it runs no
-    exit handler and flushes no inherited buffer. join returns that result
-    if the child exited 0. On every other path (no fork, a failed fork, a
-    fault in the child, a result pickle cannot write, a child that died)
-    join calls work() itself: the engines are deterministic in n, so a
-    fault is raised from the same join as on one CPU, and a dead child's
-    work is recomputed. The parent always reaps the child, and kills it
-    first if it leaves before join.
+    is ours, no other thread is alive (a fork copies only the caller) and
+    SIGCHLD is not ignored (the system would reap the child as it exits,
+    and its pid could be reused before our kill). The child pickles the
+    result into a pipe and leaves by os._exit(0), running no exit handler.
+    join returns the result if all of it came (a cut-short pickle never
+    loads), and on every other path (no fork, a refused pipe or fork, a
+    fault in the child, an unpicklable result, a dead child) calls work()
+    itself; the engines are deterministic in n, so the report or fault is
+    that of one CPU. Only the way out reaps the child, after a kill: until
+    it is reaped its pid stays its own, even once it has exited.
     """
-    pid = None  # of a child not yet reaped
+    pid = None  # of a forked child
     cpus = getattr(os, "sched_getaffinity", None)
     if n >= _FORK_FROM and cpus and len(cpus(0)) > 1 and threading.active_count() == 1:
-        import pickle  # only a run that forks pays for these imports
+        import pickle  # only a run that may fork pays for these imports
         import signal
 
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: run inline, as on one CPU
-            os.close(read_end)
-            os.close(write_end)
+        if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+            ends = ()
+            try:
+                ends = read_end, write_end = os.pipe()
+                pid = os.fork()
+            except OSError:  # no descriptor or process to spare: as on one CPU
+                for end in ends:
+                    os.close(end)
         if pid == 0:
-            status = 1
             try:
                 os.close(read_end)
                 gc.disable()
                 with open(write_end, "wb") as pipe:
                     pickle.dump(work(), pipe, pickle.HIGHEST_PROTOCOL)
-                status = 0
             finally:
-                os._exit(status)
+                os._exit(0)
         elif pid:
             os.close(write_end)
             pipe = open(read_end, "rb")
 
     def join() -> dict:
-        nonlocal pid
         if pid:
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            pid = None
-            if not status:
-                return pickle.loads(data)
+            with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
+                return pickle.loads(pipe.read())
         return work()
 
     try:
@@ -469,8 +465,8 @@ def full_verification(n: int, precision: int | None = None) -> VerificationRepor
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if precision is not None and precision < 24:  # before any engine runs
-        raise ValueError("precision must be at least 24 bits")
+    if precision is not None and precision < MIN_PRECISION:  # before any engine runs
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     unshared = [key for key in _labelled() if not ENGINES[key].run]
     # the unshared secant entries come first in table order, so making
     # them here keeps the serial fault order with no new join

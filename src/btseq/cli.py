@@ -18,6 +18,7 @@ from .bench import ALGORITHMS, bench_suite, crossover_summary
 from .checks import full_verification
 from .engines import ENGINES, engine_names
 from .intops import IntegrityError
+from .recurrences import MIN_PRECISION
 
 # sequence -> (help text, index of its first value)
 _SEQUENCES = {
@@ -81,7 +82,7 @@ def build_parser() -> _Parser:
     p.add_argument("-n", type=positive, required=True, help="size the checks run at")
     p.add_argument(
         "--precision",
-        type=_int_from(24),
+        type=_int_from(MIN_PRECISION),
         help="also contrast the fixed-precision recurrences at this many bits",
     )
     add_common(p)

@@ -163,6 +163,9 @@ def akiyama_tanigawa_bernoulli(n: int) -> BernoulliSeq:
     return out
 
 
+MIN_PRECISION = 24  # fewest bits either fixed-precision route accepts
+
+
 def bernoulli_float_unstable(n: int, precision: int) -> list[Fraction]:
     """Return [B_0..B_n] from the binomial-sum recurrence at fixed precision.
 
@@ -178,8 +181,8 @@ def bernoulli_float_unstable(n: int, precision: int) -> list[Fraction]:
     Every operand and every result is a softfloat integer pair rounded by
     softfloat.round_ratio; only the returned values become Fractions.
     """
-    if precision < 24:
-        raise ValueError("precision must be at least 24 bits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     if n < 1:
         raise ValueError("n must be >= 1")
     p = precision
@@ -207,8 +210,8 @@ def scaled_bernoulli_stable(n: int, precision: int) -> list[Fraction]:
     pair rounded by softfloat.round_ratio; all terms beyond the first carry
     one sign, so errors grow only quadratically with k.
     """
-    if precision < 24:
-        raise ValueError("precision must be at least 24 bits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     if n < 0:
         raise ValueError("n must be >= 0")
     p = precision

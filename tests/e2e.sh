@@ -4,7 +4,7 @@
 #   bash tests/e2e.sh            run every step, then print "e2e: N/M passed"
 #   bash tests/e2e.sh <step>     run one step (names are listed in STEPS)
 #
-# Uses the installed btseq when one is on PATH, and python -m btseq from
+# Uses the installed btseq when one is on PATH, and btseq.cli.main from
 # src/ otherwise. Writes into $RUNNER_TEMP, or a temporary directory that
 # is removed on exit when RUNNER_TEMP is unset.
 
@@ -19,13 +19,14 @@ export RUNNER_TEMP
 if command -v btseq > /dev/null; then
   echo "e2e: btseq is $(command -v btseq)"
 else
-  # a command on PATH, so that taskset can run it too
+  # a command on PATH, so that taskset can run it too; a Python script, as
+  # the installed one is, since dash would reset an ignored SIGCHLD
   export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
   mkdir -p "$RUNNER_TEMP/bin"
-  printf '#!/bin/sh\nexec python -m btseq "$@"\n' > "$RUNNER_TEMP/bin/btseq"
+  printf '#!/usr/bin/env python\nfrom btseq.cli import main\nmain()\n' > "$RUNNER_TEMP/bin/btseq"
   chmod +x "$RUNNER_TEMP/bin/btseq"
   export PATH="$RUNNER_TEMP/bin:$PATH"
-  echo "e2e: btseq is python -m btseq from $PWD/src"
+  echo "e2e: btseq is btseq.cli.main from $PWD/src"
 fi
 
 STEPS=(
@@ -124,6 +125,11 @@ step_verify-128-one-cpu() {
     taskset -c 0 btseq verify $args > "$RUNNER_TEMP/verify-one-cpu.txt"
     diff "$RUNNER_TEMP/verify-two-cpus.txt" "$RUNNER_TEMP/verify-one-cpu.txt"
   done
+  # with SIGCHLD ignored, as a shell trap or a supervisor leaves it, the
+  # system reaps children itself, so verify makes no second process
+  (trap '' CHLD; btseq verify -n 75) > "$RUNNER_TEMP/verify-sigchld-ignored.txt"
+  taskset -c 0 btseq verify -n 75 > "$RUNNER_TEMP/verify-one-cpu.txt"
+  diff "$RUNNER_TEMP/verify-sigchld-ignored.txt" "$RUNNER_TEMP/verify-one-cpu.txt"
 }
 
 step_verify-golden() {

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import threading
 from collections import Counter
@@ -63,6 +64,14 @@ class LambdaList(list):
     def __init__(self, values):
         super().__init__(values)
         self.hook = lambda: None
+
+
+def write_half_then_exit(values, write_end):
+    """A child whose result stops short: it writes half of a pickle to the
+    pipe's write end, then exits 0."""
+    data = pickle.dumps(values, pickle.HIGHEST_PROTOCOL)
+    os.write(write_end, data[: len(data) // 2])
+    os._exit(0)
 
 
 def cpus(monkeypatch, count):
@@ -1333,40 +1342,72 @@ class TestSecondProcess:
         ]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
-    def test_failed_fork_runs_inline_and_closes_its_pipe(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "call,code",
+        [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+        ids=["fork", "pipe"],
+    )
+    def test_failed_fork_runs_inline_and_closes_its_pipe(
+        self, monkeypatch, capsys, forks, call, code
+    ):
         refused = []
 
         def refuse():
             refused.append(True)
-            raise OSError(errno.EAGAIN, "fork refused")
+            raise OSError(code, f"{call} refused")
 
         cpus(monkeypatch, 1)
         assert run_cli(["verify", "-n", "75"]) == 0
         inline = capsys.readouterr()
-        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, call, refuse)
         cpus(monkeypatch, 2)
         fds = len(os.listdir("/proc/self/fd"))
         assert run_cli(["verify", "-n", "75"]) == 0
         assert len(os.listdir("/proc/self/fd")) == fds
         assert capsys.readouterr() == inline
         assert refused == [True]
+        assert forks[0] == 0
+
+    def test_ignored_sigchld_runs_inline(self, monkeypatch, capsys, forks):
+        # the system would reap the child itself, and its pid could be
+        # reused before the parent's kill
+        cpus(monkeypatch, 1)
+        assert run_cli(["verify", "-n", "75"]) == 0
+        inline = capsys.readouterr()
+        cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert run_cli(["verify", "-n", "75"]) == 0
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert capsys.readouterr() == inline
+        assert forks[0] == 0
 
     @pytest.mark.parametrize(
         "misbehave",
         [
-            lambda values: os._exit(7),
-            lambda values: os.kill(os.getpid(), signal.SIGKILL),
-            LambdaList,
+            lambda values, write_end: os._exit(7),
+            lambda values, write_end: os.kill(os.getpid(), signal.SIGKILL),
+            lambda values, write_end: LambdaList(values),
+            write_half_then_exit,
         ],
-        ids=["exit-7", "sigkill", "unpicklable-result"],
+        ids=["exit-7", "sigkill", "unpicklable-result", "truncated-result"],
     )
     def test_failed_child_is_recomputed(self, monkeypatch, run_both, misbehave):
         parent, original = os.getpid(), engines.bernoulli_via_series
+        pipes, make_pipe = [], os.pipe
+
+        def pipe():
+            pipes.append(make_pipe())
+            return pipes[-1]
 
         def series(m):
             values = original(m)
-            return values if os.getpid() == parent else misbehave(values)
+            if os.getpid() == parent:
+                return values
+            return misbehave(values, pipes[-1][1])
 
+        monkeypatch.setattr(os, "pipe", pipe)
         monkeypatch.setattr(engines, "bernoulli_via_series", series)
         inline, forked = run_both("verify", "-n", "75")
         assert inline == forked
