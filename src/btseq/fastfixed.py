@@ -1,13 +1,13 @@
 """Tangent and secant numbers by one big fixed-point division.
 
-Choose the least p with 2**p >= n**n and evaluate at the dyadic point
-x = 2**(-p). The truncated sin and cos series at x scale to exact integers,
-and one rounded quotient carries every scaled value in its own 2p-bit
-block: the values are far enough apart that one division computes all of
-them at once. Both families build one record, a PackedQuotient: sin over cos
-packs T'_k = (2n-1)!/(2k-1)! * T_k, and 1 over cos packs
-S'_k = (2n)!/(2k)! * S_k. One reader unpacks either record, and each record
-carries its exact rounding distance, read off the division's own remainder.
+At every n, choose the least p with 2**p >= m**m for m = max(n, 2), and
+evaluate at the dyadic point x = 2**(-p). The truncated sin and cos series
+at x scale to exact integers, and one rounded quotient carries every scaled
+value in its own 2p-bit block: the values are far enough apart that one
+division computes all of them. Both families build one record, a
+PackedQuotient: sin over cos packs T'_k = (2n-1)!/(2k-1)! * T_k, and 1 over
+cos packs S'_k = (2n)!/(2k)! * S_k. One reader unpacks either record, and
+each record carries its exact rounding distance, read off the remainder.
 """
 
 from __future__ import annotations
@@ -65,35 +65,35 @@ def _scaled_series(n: int, p: int, terms: int, first: int) -> int:
     return blocks[0]
 
 
-def _packed_quotient(n: int, p: int | None, parts: Callable) -> PackedQuotient:
-    """Resolve p and divide once; parts(p) gives (top, num, den, shift)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    least = least_half_block_bits(n)
-    p = least if p is None else p
-    if p < least:  # outside the packing proof: a bad argument, not a fault
-        raise ValueError(f"half_block_bits must be at least {least} at n = {n}")
+def _packed_quotient(n: int, parts: Callable) -> PackedQuotient:
+    """Divide once at the least width for max(n, 2), as n = 1's own, p = 0,
+    leaves blocks of no bits. parts(p) gives (top, num, den, shift)."""
+    p = least_half_block_bits(max(n, 2))
     top, num, den, shift = parts(p)
     packed, distance = round_nearest_div(num << shift, den)
     return PackedQuotient(n, p, top, num, den, shift, packed, distance)
 
 
-def packed_tangent_params(n: int, half_block_bits: int | None = None) -> PackedQuotient:
-    """The packed tangent quotient for n >= 2: num is (2n-1)! times the
+def packed_tangent_params(n: int) -> PackedQuotient:
+    """The packed tangent quotient for n >= 1: num is (2n-1)! times the
     n-term sin sum and den the n-term cos sum, both scaled by
     (2n)! * 2**((2n-2)p), and shift is (2n-2)p."""
-    return _packed_quotient(n, half_block_bits, lambda p: (
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _packed_quotient(n, lambda p: (
         2 * n - 1, math.factorial(2 * n - 1) * _scaled_series(n, p, n, 1),
         _scaled_series(n, p, n, 0), (2 * n - 2) * p,
     ))
 
 
-def packed_secant_params(n: int, half_block_bits: int | None = None) -> PackedQuotient:
-    """The packed secant quotient for n >= 2: num is ((2n)!)**2, den the
+def packed_secant_params(n: int) -> PackedQuotient:
+    """The packed secant quotient for n >= 0: num is ((2n)!)**2, den the
     (n+1)-term cos sum scaled by (2n)! * 2**(2np), and shift is 4np. The
     k = n cos term is one unit of the lowest block, so dropping it would put
     the quotient a whole unit off."""
-    return _packed_quotient(n, half_block_bits, lambda p: (
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _packed_quotient(n, lambda p: (
         2 * n, math.factorial(2 * n) ** 2, _scaled_series(n, p, n + 1, 0), 4 * n * p
     ))
 
@@ -118,27 +118,18 @@ def read_blocks(q: PackedQuotient) -> list[int]:
     return [1] + out[::-1]
 
 
-def fast_tangent_numbers(n: int, half_block_bits: int | None = None) -> TangentSeq:
+def fast_tangent_numbers(n: int) -> TangentSeq:
     """Return [T_1..T_n]; one big division replaces the quadratic sweep.
     Raises IntegrityError where read_blocks does, and when the exact rounding
-    distance reaches ROUNDING_BUDGET, met at every half_block_bits p from the
-    least on: both terms of checks' closed form fall as p grows, as x = 2**(-p)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return [1]  # the packed form needs n >= 2, and T_1 is pinned anyway
-    q = packed_tangent_params(n, half_block_bits)
+    distance reaches ROUNDING_BUDGET, met at every block width from the least
+    on: both terms of checks' closed form fall as p grows, as x = 2**(-p)."""
+    q = packed_tangent_params(n)
     values = read_blocks(q)
     if q.distance >= ROUNDING_BUDGET * q.den:
         raise IntegrityError(f"the packed tangent quotient is over budget at n = {n}")
     return values
 
 
-def fast_secant_numbers(n: int, half_block_bits: int | None = None) -> SecantSeq:
+def fast_secant_numbers(n: int) -> SecantSeq:
     """Return [S_0..S_n] by the packed-division route applied to 1/cos."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n <= 1:
-        return [1] * (n + 1)  # below the n >= 2 packing regime; pinned values
-    return read_blocks(packed_secant_params(n, half_block_bits))
-
+    return read_blocks(packed_secant_params(n))

@@ -27,13 +27,13 @@ _DIV_CUTOFF_BITS = 4000
 
 
 def _divmod(num: int, den: int) -> tuple[int, int]:
-    """Return divmod(num, den), by recursion when num >= 0 and den is large.
+    """Return divmod(num, den) for num >= 0, by recursion when den is large.
 
     The numerator is read as digits of den's bit length, most significant
     first, and each remainder-and-digit pair is one 2n-by-n-bit division.
     """
     n = den.bit_length()
-    if n <= _DIV_CUTOFF_BITS or num < 0 or den < 0:
+    if n <= _DIV_CUTOFF_BITS:
         return divmod(num, den)
     mask = (1 << n) - 1
     q = r = 0
@@ -78,10 +78,14 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
 
 
 def _audited_divmod(num: int, den: int) -> tuple[int, int]:
-    """_divmod(num, den) for den > 0, audited: 0 <= r < den, and
-    q*den + r = num modulo the prime 2**61 - 1, in linear time. A wrong
+    """_divmod(num, den), refusing num < 0 or den <= 0, audited: 0 <= r < den,
+    and q*den + r = num modulo the prime 2**61 - 1, in linear time. A wrong
     (q, r) escapes only when its error q*den + r - num is a nonzero
     multiple of 2**61 - 1 and r stays in range."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    if num < 0:
+        raise ValueError("numerator must be nonnegative")
     q, r = _divmod(num, den)
     if not 0 <= r < den:
         raise IntegrityError(f"remainder out of range for a {den.bit_length()}-bit divisor")
@@ -101,19 +105,13 @@ def round_nearest_div(num: int, den: int) -> tuple[int, int]:
     block and fails the cross-check against the in-place row, provided
     that row is right.
     """
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    if num < 0:
-        raise ValueError("numerator must be nonnegative")
     q, r = _audited_divmod(num, den)
     return (q + 1, den - r) if 2 * r >= den else (q, r)
 
 
 def exact_div(num: int, den: int) -> int:
-    """Divide by a positive integer and insist the division, audited as
-    _audited_divmod does, leaves no remainder."""
-    if den <= 0:
-        raise ValueError("divisor must be positive")
+    """Divide a nonnegative integer by a positive one and insist the
+    division, audited as _audited_divmod does, leaves no remainder."""
     q, r = _audited_divmod(num, den)
     if r:
         # bit lengths, since large ints cannot be formatted in decimal

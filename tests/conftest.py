@@ -1,6 +1,7 @@
 """Shared pytest wiring: surface the acceptance lines in the summary, a
-fixture that corrupts the packed quotient's top block, and one that puts
-the packed tangent quotient over its rounding budget."""
+fixture that corrupts the packed quotient's top block, one that puts the
+packed tangent quotient over its rounding budget, and one that widens the
+packed engines' blocks."""
 
 from __future__ import annotations
 
@@ -46,8 +47,20 @@ def over_budget_exact_leg(monkeypatch):
     over the 0.12 budget, with its quotient and blocks intact."""
     original = fastfixed.packed_tangent_params
 
-    def whole_unit(n, half_block_bits=None):
-        params = original(n, half_block_bits)
+    def whole_unit(n):
+        params = original(n)
         return params._replace(distance=params.den)
 
     monkeypatch.setattr(fastfixed, "packed_tangent_params", whole_unit)
+
+
+@pytest.fixture
+def widen_blocks(monkeypatch):
+    """Call as widen_blocks(k): the packed engines then divide at k bits past
+    the least half-block width, through fastfixed's one width rule."""
+    least = fastfixed.least_half_block_bits
+
+    def apply(k):
+        monkeypatch.setattr(fastfixed, "least_half_block_bits", lambda n: least(n) + k)
+
+    return apply

@@ -53,6 +53,9 @@ STEPS=(
 step_command() {
   btseq tangent -n 3 > "$RUNNER_TEMP/tangent.txt"
   printf '1 1\n2 2\n3 16\n' | diff - "$RUNNER_TEMP/tangent.txt"
+  # n = 1 takes the packed engines' one division too
+  btseq tangent -n 1 --algorithm fast | diff <(printf '1 1\n') -
+  btseq secant -n 1 --algorithm fast | diff <(printf '0 1\n1 1\n') -
 }
 
 step_rejects-bad-arguments() {

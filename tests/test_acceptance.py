@@ -211,14 +211,15 @@ def test_criterion_09_packing_identity():
     )
 
 
-def test_criterion_10_block_width_insensitivity():
-    ok = True
-    for n in range(2, 33):
-        p = least_half_block_bits(n)
-        if fast_tangent_numbers(n, p) != fast_tangent_numbers(n, p + 1):
-            ok = False
-        if fast_secant_numbers(n, p) != fast_secant_numbers(n, p + 1):
-            ok = False
+def test_criterion_10_block_width_insensitivity(widen_blocks):
+    n_values = range(2, 33)
+    least = [(fast_tangent_numbers(n), fast_secant_numbers(n)) for n in n_values]
+    widen_blocks(1)
+    ok = all(
+        packed_tangent_params(n).half_block_bits == least_half_block_bits(n) + 1
+        and (fast_tangent_numbers(n), fast_secant_numbers(n)) == values
+        for n, values in zip(n_values, least)
+    )
     record(
         10,
         "packed engines identical at block widths p and p + 1 for n = 2..32",

@@ -1145,10 +1145,11 @@ class TestOneRunPerEngine:
             gc.collect()
             assert [gc.get_referrers(q) for q in packed] == [[packed]] * run
 
-    def test_n_one_runs_no_packed_division(self, counted):
+    def test_n_one_runs_one_packed_division(self, counted):
+        # below n = 2 the packed tangent takes the same one division
         calls, _ = counted
         assert full_verification(1).all_pass
-        assert calls()["packed_tangent_params"] == 0
+        assert calls()["packed_tangent_params"] == 1
 
     @pytest.mark.parametrize("n", [2, 40, 75, checks._SPLIT_FROM])
     def test_packed_tangent_comes_from_its_engine(self, counted, monkeypatch, n):
@@ -1274,7 +1275,7 @@ class TestSecondProcess:
     def test_parent_fault_exits_three_and_kills_the_child(
         self, monkeypatch, run_both
     ):
-        def broken(n, half_block_bits=None):
+        def broken(n):
             raise IntegrityError("packed tangent forced to fail")
 
         monkeypatch.setattr(fastfixed, "packed_tangent_params", broken)

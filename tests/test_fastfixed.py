@@ -16,6 +16,7 @@ from btseq.fastfixed import (
     least_half_block_bits,
     packed_secant_params,
     packed_tangent_params,
+    read_blocks,
 )
 from btseq.intops import IntegrityError
 from btseq.recurrences import secant_numbers, tangent_numbers
@@ -61,44 +62,52 @@ class TestScaledSeries:
         assert 0 < params.den <= scale
         assert Fraction(params.den, scale) > Fraction(9, 10)
 
-    def test_explicit_block_width_override(self):
-        default = packed_tangent_params(4)
-        wider = packed_tangent_params(4, default.half_block_bits + 3)
-        assert wider.half_block_bits == default.half_block_bits + 3
-        assert wider.num != default.num
-
     def test_rejects_small_n(self):
-        for build in packed_tangent_params, packed_secant_params:
-            with pytest.raises(ValueError):
-                build(1)
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            packed_tangent_params(0)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            packed_secant_params(-1)
 
 
-class TestBadWidths:
-    """A width below least_half_block_bits(n) is outside the packing proof:
-    both families refuse it as a bad argument before dividing, not as an
-    IntegrityError of the reader or a negative shift count."""
+class TestBelowTwo:
+    """Below n = 2 the packed engines take n = 2's width, p = 2, and the
+    same one division and reader as at every larger n."""
 
-    @pytest.fixture(autouse=True)
-    def no_division(self, monkeypatch):
-        def divided(num, den):
-            raise AssertionError("divided at a refused width")
-
-        monkeypatch.setattr(fastfixed, "round_nearest_div", divided)
-
-    @pytest.mark.parametrize("p", [-1, 0, 3])
     @pytest.mark.parametrize(
-        "engine",
+        "build,n,record,values",
         [
-            fast_tangent_numbers,
-            fast_secant_numbers,
-            packed_tangent_params,
-            packed_secant_params,
+            # (num, den, packed, distance): 2/2 = 1 and 1/1 = 1 exactly, and
+            # 4 * 2**8 = 33 * 31 + 1 puts S_1 = 1 in the one 4-bit block
+            (packed_tangent_params, 1, (2, 2, 1, 0), [1]),
+            (packed_secant_params, 0, (1, 1, 1, 0), [1]),
+            (packed_secant_params, 1, (4, 31, 33, 1), [1, 1]),
         ],
     )
-    def test_narrow_width_is_a_usage_error(self, engine, p):
-        assert least_half_block_bits(5) == 12
-        with pytest.raises(ValueError, match="half_block_bits must be at least 12"):
-            engine(5, p)
+    def test_records_by_hand(self, build, n, record, values):
+        q = build(n)
+        assert q.half_block_bits == 2
+        assert (q.num, q.den, q.packed, q.distance) == record
+        assert read_blocks(q) == values
+
+    @pytest.mark.parametrize(
+        "engine,n,values",
+        [
+            (fast_tangent_numbers, 1, [1]),
+            (fast_secant_numbers, 0, [1]),
+            (fast_secant_numbers, 1, [1, 1]),
+        ],
+    )
+    def test_engine_divides_once(self, monkeypatch, engine, n, values):
+        divisions = []
+        original = fastfixed.round_nearest_div
+
+        def counted(num, den):
+            divisions.append((num, den))
+            return original(num, den)
+
+        monkeypatch.setattr(fastfixed, "round_nearest_div", counted)
+        assert engine(n) == values
+        assert len(divisions) == 1
 
 
 def scaled_series_by_one_shift_per_term(n, p, terms, first):
@@ -126,11 +135,13 @@ class TestFastTangent:
         assert fast_tangent_numbers(n) == tangent_numbers(n)[0]
 
     @pytest.mark.parametrize("n", [2, 5, 17, 32])
-    def test_wider_blocks_change_nothing(self, n):
-        p = least_half_block_bits(n)
+    def test_wider_blocks_change_nothing(self, widen_blocks, n):
         reference = fast_tangent_numbers(n)
-        assert fast_tangent_numbers(n, p + 1) == reference
-        assert fast_tangent_numbers(n, p + 7) == reference
+        for wider in 1, 7:
+            widen_blocks(wider)
+            p = packed_tangent_params(n).half_block_bits
+            assert p == least_half_block_bits(n) + wider
+            assert fast_tangent_numbers(n) == reference
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
@@ -165,10 +176,11 @@ class TestFastSecant:
             assert block <= f2n // 2 < 2 ** (2 * p)
 
     @pytest.mark.parametrize("n", [2, 6, 20])
-    def test_wider_blocks_change_nothing(self, n):
-        p = least_half_block_bits(n)
+    def test_wider_blocks_change_nothing(self, widen_blocks, n):
         reference = fast_secant_numbers(n)
-        assert fast_secant_numbers(n, p + 1) == reference
+        widen_blocks(1)
+        assert packed_secant_params(n).half_block_bits == least_half_block_bits(n) + 1
+        assert fast_secant_numbers(n) == reference
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -224,8 +236,8 @@ class TestRoundingBudgetGuard:
         original = fastfixed.packed_tangent_params
 
         def apply(f):
-            def params(n, half_block_bits=None):
-                q = original(n, half_block_bits)
+            def params(n):
+                q = original(n)
                 return q._replace(distance=f(q.den))
 
             monkeypatch.setattr(fastfixed, "packed_tangent_params", params)
@@ -234,14 +246,14 @@ class TestRoundingBudgetGuard:
 
     @pytest.mark.parametrize("n", [2, 5, 40])
     @pytest.mark.parametrize("wider", [0, 1, 7])
-    def test_refuses_at_the_budget(self, distance, n, wider):
-        p = least_half_block_bits(n) + wider
+    def test_refuses_at_the_budget(self, distance, widen_blocks, n, wider):
+        widen_blocks(wider)
         top, bottom = fastfixed.ROUNDING_BUDGET.as_integer_ratio()
         distance(lambda den: (top * den - 1) // bottom)  # just below
-        assert fast_tangent_numbers(n, p) == tangent_numbers(n)[0]
+        assert fast_tangent_numbers(n) == tangent_numbers(n)[0]
         distance(lambda den: -(-top * den // bottom))  # the least at or above
         with pytest.raises(IntegrityError, match=f"over budget at n = {n}$"):
-            fast_tangent_numbers(n, p)
+            fast_tangent_numbers(n)
 
     def test_budget_is_the_documented_one(self):
         assert fastfixed.ROUNDING_BUDGET == Fraction(12, 100)
@@ -310,8 +322,8 @@ class TestLowestBlock:
                 values[-1] += off
                 assert fastfixed.read_blocks(q._replace(packed=q.packed + off)) == values
 
-        def one_high(n, half_block_bits=None):
-            q = original(n, half_block_bits)
+        def one_high(n):
+            q = original(n)
             return q._replace(packed=q.packed + 1)
 
         monkeypatch.setattr(fastfixed, params, one_high)
