@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .softfloat import Float, add, div, mul, round_ratio, to_fraction
 
@@ -39,9 +39,7 @@ class OpCounters(NamedTuple):
     loop_trips: int = 0
 
 
-def tangent_numbers(
-    n: int, trace: Optional[Callable[[int, list[int]], None]] = None
-) -> tuple[TangentSeq, OpCounters]:
+def tangent_numbers(n: int) -> tuple[TangentSeq, OpCounters]:
     """Return ([T_1..T_n], counters) via the scaled in-place recurrence.
 
     The paper's pass k applies T_j <- (j-k) T_{j-1} + (j-k+2) T_j for j = k..n
@@ -50,11 +48,7 @@ def tangent_numbers(
     after pass k; dividing the update by (j-k)! gives u_k <- 2 u_k and
     u_j <- u_{j-1} + (d+1)(d+2) u_j for d = j-k >= 1, from a row of ones.
     A trip off the diagonal is one multiply by an integer below n**2 and one
-    add, and no entry ever exceeds T_n. `trace`, when given, is called as
-    trace(k, row) once after each outer pass k, when row[j] for j = k..n
-    holds the paper's value of inner update (k, j) divided by (j-k)! (used
-    to test the dataflow). row is the live buffer: read it during the call,
-    and neither keep nor change it.
+    add, and no entry ever exceeds T_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -64,8 +58,6 @@ def tangent_numbers(
         prev = row[k] = row[k] + row[k]
         for j, w in zip(range(k + 1, n + 1), weights):
             prev = row[j] = prev + w * row[j]
-        if trace is not None:
-            trace(k, row)
     trips = n * (n - 1) // 2
     ops = OpCounters(
         additions=trips, multiplications=trips - (n - 1), loop_trips=trips
@@ -80,7 +72,8 @@ def secant_numbers(n: int) -> tuple[SecantSeq, OpCounters]:
     j = k+1..n to a row that starts as S_j = j!. Here row[j] holds
     u_j = S_j/(j-k)! after pass k; dividing the update by (j-k)! gives
     u_j <- u_{j-1} + (d+1)**2 u_j for d = j-k >= 1, from a row of ones.
-    Each trip is one multiply by an integer at most n**2 and one add.
+    Each trip is one multiply by an integer at most n**2 and one add, and
+    no entry ever exceeds S_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

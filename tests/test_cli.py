@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -513,3 +514,15 @@ class TestInstalledEntryPoint:
 def assert_tangent_3(result: subprocess.CompletedProcess) -> None:
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1 1\n2 2\n3 16\n"
+
+
+def test_ci_workflow_runs_the_e2e_steps_in_order():
+    """The workflow's `bash tests/e2e.sh <step>` lines and e2e.sh's STEPS
+    array are one list: a step missing from the workflow never runs in CI,
+    and one missing from STEPS is left out of `e2e: N/N passed`."""
+    script = (ROOT / "tests" / "e2e.sh").read_text()
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    steps = re.search(r"^STEPS=\((.*?)^\)", script, re.M | re.S).group(1).split()
+    run = re.findall(r"^\s*run: bash tests/e2e\.sh (\S+)\s*$", workflow, re.M)
+    assert steps
+    assert run == steps

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -12,7 +13,16 @@ from btseq.bench import ALGORITHMS, bench_suite
 from btseq.checks import cross_check
 from btseq.cli import run_cli
 from btseq.engines import ENGINES, Engine, engine_names
-from btseq.recurrences import OpCounters, bernoulli_from_tangent
+from btseq.fastfixed import fast_secant_numbers, fast_tangent_numbers
+from btseq.recurrences import (
+    OpCounters,
+    akiyama_tanigawa_bernoulli,
+    atkinson_tangent_secant,
+    bernoulli_from_tangent,
+    secant_numbers,
+    tangent_numbers,
+)
+from btseq.series import bernoulli_via_series
 
 TANGENT_RUNS = ("tangent_numbers", "fast_tangent_numbers", "atkinson_tangent_secant")
 
@@ -98,3 +108,20 @@ def test_cli_all_runs_each_tangent_run_once_per_entry(tangent_runs, sequence, ru
     assert tangent_runs == runs
     assert run_cli([sequence, "-n", "8", "--algorithm", "all"]) == 0
     assert tangent_runs == runs + runs  # the second request shares nothing
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        tangent_numbers,
+        secant_numbers,
+        atkinson_tangent_secant,
+        akiyama_tanigawa_bernoulli,
+        fast_tangent_numbers,
+        fast_secant_numbers,
+        bernoulli_via_series,
+    ],
+    ids=lambda engine: engine.__name__,
+)
+def test_every_engine_takes_n_alone(engine):
+    assert list(inspect.signature(engine).parameters) == ["n"]

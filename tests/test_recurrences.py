@@ -9,6 +9,7 @@ q_{0,0} = 1 with S_k = q_{2k,0}.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -81,6 +82,37 @@ def secant_poly_table(rows: int) -> list[list[int]]:
     return table
 
 
+def observed_passes(engine, n):
+    """Run engine(n) and return (its result, [(k, row), ...]) for its passes.
+
+    The engine runs under sys.settrace, which acts only on the engine's own
+    frame and keeps a copy of the local row each time the local k changes
+    and once on return: the row as each outer pass k left it. The engine
+    needs no hook, so the passes read are those of the code that ships.
+    """
+    passes = []
+    last_k = None
+
+    def on_event(frame, event, arg):
+        nonlocal last_k
+        k = frame.f_locals.get("k")
+        if last_k is not None and (k != last_k or event == "return"):
+            passes.append((last_k, list(frame.f_locals["row"])))
+        last_k = k
+        return on_event
+
+    def on_call(frame, event, arg):
+        return on_event if frame.f_code is engine.__code__ else None
+
+    saved = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = engine(n)
+    finally:
+        sys.settrace(saved)
+    return result, passes
+
+
 class TestTangentNumbers:
     @pytest.mark.parametrize(
         "n,expected",
@@ -109,26 +141,22 @@ class TestTangentNumbers:
     def test_trace_covers_the_dense_table(self):
         # after inner update (k, j) the row holds p[j+k-2][j-k+1] / (j-k)!
         table = tangent_poly_table(2 * 8)
-        seen = []
-        tangent_numbers(
-            8, trace=lambda k, row: seen.extend((k, j, row[j]) for j in range(k, 9))
-        )
-        assert seen, "trace callback never fired"
+        _, passes = observed_passes(tangent_numbers, 8)
+        seen = [(k, j, row[j]) for k, row in passes for j in range(k, 9)]
+        assert seen, "no pass was observed"
         for k, j, value in seen:
             assert value * factorial(j - k) == table[j + k - 2][j - k + 1]
 
     @pytest.mark.parametrize("n", [2, 50, 400])
     def test_no_intermediate_exceeds_the_last_value(self, n):
-        peaks = []
-        values, _ = tangent_numbers(n, trace=lambda k, row: peaks.append(max(row)))
+        (values, _), passes = observed_passes(tangent_numbers, n)
+        peaks = [max(row) for _, row in passes]
         assert len(peaks) == n - 1
         assert max(peaks) == values[-1]
 
     def test_trace_order_n3(self):
-        seen = []
-        tangent_numbers(
-            3, trace=lambda k, row: seen.extend((k, j, row[j]) for j in range(k, 4))
-        )
+        _, passes = observed_passes(tangent_numbers, 3)
+        seen = [(k, j, row[j]) for k, row in passes for j in range(k, 4)]
         assert seen == [(2, 2, 2), (2, 3, 8), (3, 3, 16)]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 100, 500])
@@ -161,6 +189,24 @@ class TestSecantNumbers:
         table = secant_poly_table(24)
         values, _ = secant_numbers(12)
         assert values == [table[2 * k][0] for k in range(13)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 50])
+    def test_n_passes_follow_the_unscaled_update(self, n):
+        # passes k = 1..n, none at n = 0; after pass k, row[j] * (j-k)! is the
+        # paper's S_j for j = k..n, with S_j <- (j-k) S_{j-1} + (j-k+1) S_j
+        # run here from S_j = j!
+        _, passes = observed_passes(secant_numbers, n)
+        assert [k for k, _ in passes] == list(range(1, n + 1))
+        paper = [factorial(j) for j in range(n + 1)]
+        for k, row in passes:
+            for j in range(k + 1, n + 1):
+                paper[j] = (j - k) * paper[j - 1] + (j - k + 1) * paper[j]
+            assert [row[j] * factorial(j - k) for j in range(k, n + 1)] == paper[k:]
+
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    def test_no_intermediate_exceeds_the_last_value(self, n):
+        (values, _), passes = observed_passes(secant_numbers, n)
+        assert max(max(row) for _, row in passes) == values[-1]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 100])
     def test_counters(self, n):
