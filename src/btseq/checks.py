@@ -398,8 +398,9 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
 
     A forked child runs work() when n is at least _FORK_FROM, a second CPU
     is ours, no other thread is alive (a fork copies only the caller) and
-    SIGCHLD is not ignored (the system would reap the child as it exits,
-    and its pid could be reused before our kill). The child pickles the
+    SIGCHLD has its default disposition: if it is ignored the system reaps
+    the child as it exits, and a handler may reap it too, so its pid could
+    be reused before our kill. The child pickles the
     result into a pipe and leaves by os._exit(0), running no exit handler.
     join returns the result if all of it came (a cut-short pickle never
     loads), and on every other path (no fork, a refused pipe or fork, a
@@ -414,7 +415,7 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
         import pickle  # only a run that may fork pays for these imports
         import signal
 
-        if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL:
             ends = ()
             try:
                 ends = read_end, write_end = os.pipe()
@@ -451,7 +452,8 @@ def _beside(work: Callable[[], dict], n: int) -> Iterator[Callable[[], dict]]:
 
 def full_verification(n: int, precision: int | None = None) -> VerificationReport:
     """Run every check family at size n; optionally add the float contrast.
-    Each engine runs once, and every family that reads its output shares it.
+    Each engine runs once, and every family that reads its output shares it;
+    only the precision contrast makes its own exact row, B_0..B_80.
 
     The outputs of the labelled entries fill one dict keyed as ENGINES is.
     Those that share no run are made beside the rest (_beside), except

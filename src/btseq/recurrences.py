@@ -1,16 +1,17 @@
 """Quadratic-time exact engines for tangent, secant, and Bernoulli numbers.
 
-Two in-place engines run the paper's row recurrences over a single row
-buffer (one for tangent numbers, one for secant numbers), rescaled so that
-each trip is one small multiply and one add. The boustrophedon triangle of
-Atkinson produces both integer families with additions only. The
-Akiyama-Tanigawa triangle is the all-rational route to Bernoulli numbers,
-and two fixed-precision recurrences demonstrate the numerically stable and
-unstable ways of reaching the same values in floating point. Those two
-compute on softfloat's integer pairs (significand, exponent), rounding
-every operation through softfloat.round_ratio, and build Fractions only
-for the values they return. Engines report operation counters so their
-cost models can be checked against measurement.
+The two in-place engines are one sweep of the paper's row recurrence over
+a single row buffer, at c = 2 for tangent numbers and c = 1 for secant
+numbers, rescaled so that each trip is one small multiply and one add.
+The boustrophedon triangle of Atkinson produces both integer families
+with additions only. The Akiyama-Tanigawa triangle is the all-rational
+route to Bernoulli numbers, and two fixed-precision recurrences
+demonstrate the numerically stable and unstable ways of reaching the same
+values in floating point. Those two compute on softfloat's integer pairs
+(significand, exponent), rounding every operation through
+softfloat.round_ratio, and build Fractions only for the values they
+return. Engines report operation counters so their cost models can be
+checked against measurement.
 """
 
 from __future__ import annotations
@@ -39,53 +40,42 @@ class OpCounters(NamedTuple):
     loop_trips: int = 0
 
 
-def tangent_numbers(n: int) -> tuple[TangentSeq, OpCounters]:
-    """Return ([T_1..T_n], counters) via the scaled in-place recurrence.
+def _sweep(n: int, c: int) -> tuple[list[int], OpCounters]:
+    """Return ([E_0..E_n], counters) for the paper's in-place sweep at c.
 
-    The paper's pass k applies T_j <- (j-k) T_{j-1} + (j-k+2) T_j for j = k..n
-    to a row that starts as T_j = (j-1)!, sweeping one diagonal of the table
-    of derivative-polynomial coefficients of tan. Here row[j] holds u_j = T_j/(j-k)!
-    after pass k; dividing the update by (j-k)! gives u_k <- 2 u_k and
-    u_j <- u_{j-1} + (d+1)(d+2) u_j for d = j-k >= 1, from a row of ones.
-    A trip off the diagonal is one multiply by an integer below n**2 and one
-    add, and no entry ever exceeds T_n.
+    The paper's pass k applies E_j <- (j-k) E_{j-1} + (j-k+c) E_j for
+    j = k..n, k = c..n, to a row that starts as E_j = (j-c+1)!: c = 2 gives
+    the tangent numbers E_j = T_j with j >= 1, c = 1 the secant numbers.
+    Here row[j] holds u_j = E_j/(j-k)! after pass k; dividing the update by
+    (j-k)! gives u_k <- c u_k on the diagonal (a doubling for the tangent,
+    the identity for the secant) and u_j <- u_{j-1} + (d+1)(d+c) u_j for
+    d = j-k >= 1, from a row of ones. A trip off the diagonal is one
+    multiply by an integer at most n**2 and one add, and no entry ever
+    exceeds E_n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     row = [1] * (n + 1)
-    weights = [(d + 1) * (d + 2) for d in range(1, n)]
-    for k in range(2, n + 1):
-        prev = row[k] = row[k] + row[k]
+    weights = [(d + 1) * (d + c) for d in range(1, n)]
+    for k in range(c, n + 1):
+        prev = row[k] = c * row[k]
         for j, w in zip(range(k + 1, n + 1), weights):
             prev = row[j] = prev + w * row[j]
-    trips = n * (n - 1) // 2
-    ops = OpCounters(
-        additions=trips, multiplications=trips - (n - 1), loop_trips=trips
-    )
+    trips = n * (n - 1) // 2  # the tangent's n - 1 doublings are additions
+    return row, OpCounters(trips, trips - (c - 1) * (n - 1), trips)
+
+
+def tangent_numbers(n: int) -> tuple[TangentSeq, OpCounters]:
+    """Return ([T_1..T_n], counters) via the scaled sweep at c = 2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    row, ops = _sweep(n, 2)
     return row[1:], ops
 
 
 def secant_numbers(n: int) -> tuple[SecantSeq, OpCounters]:
-    """Return ([S_0..S_n], counters) via the scaled in-place recurrence.
-
-    The paper's pass k applies S_j <- (j-k) S_{j-1} + (j-k+1) S_j for
-    j = k+1..n to a row that starts as S_j = j!. Here row[j] holds
-    u_j = S_j/(j-k)! after pass k; dividing the update by (j-k)! gives
-    u_j <- u_{j-1} + (d+1)**2 u_j for d = j-k >= 1, from a row of ones.
-    Each trip is one multiply by an integer at most n**2 and one add, and
-    no entry ever exceeds S_n.
-    """
+    """Return ([S_0..S_n], counters) via the scaled sweep at c = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    row = [1] * (n + 1)
-    weights = [(d + 1) ** 2 for d in range(1, n)]
-    for k in range(1, n + 1):
-        prev = row[k]
-        for j, w in zip(range(k + 1, n + 1), weights):
-            prev = row[j] = prev + w * row[j]
-    trips = n * (n - 1) // 2
-    ops = OpCounters(additions=trips, multiplications=trips, loop_trips=trips)
-    return row, ops
+    return _sweep(n, 1)
 
 
 def bernoulli_from_tangent(tangent: TangentSeq) -> BernoulliSeq:

@@ -133,6 +133,27 @@ step_verify-128-one-cpu() {
   (trap '' CHLD; btseq verify -n 75) > "$RUNNER_TEMP/verify-sigchld-ignored.txt"
   taskset -c 0 btseq verify -n 75 > "$RUNNER_TEMP/verify-one-cpu.txt"
   diff "$RUNNER_TEMP/verify-sigchld-ignored.txt" "$RUNNER_TEMP/verify-one-cpu.txt"
+  # a host's SIGCHLD handler may reap the child too; a handler does not
+  # survive exec, so it is installed in the process that runs btseq.cli.main
+  python - verify -n 129 > "$RUNNER_TEMP/verify-sigchld-handler.txt" <<'EOF'
+import contextlib
+import os
+import signal
+
+from btseq.cli import main
+
+
+def reap_children(signum, frame):
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+
+
+signal.signal(signal.SIGCHLD, reap_children)
+main()
+EOF
+  taskset -c 0 btseq verify -n 129 > "$RUNNER_TEMP/verify-one-cpu.txt"
+  diff "$RUNNER_TEMP/verify-sigchld-handler.txt" "$RUNNER_TEMP/verify-one-cpu.txt"
 }
 
 step_verify-golden() {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import gc
 import itertools
@@ -72,6 +73,13 @@ def write_half_then_exit(values, write_end):
     data = pickle.dumps(values, pickle.HIGHEST_PROTOCOL)
     os.write(write_end, data[: len(data) // 2])
     os._exit(0)
+
+
+def reap_children(signum, frame):
+    """A host's SIGCHLD handler: it reaps every child that has exited."""
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
 
 
 def cpus(monkeypatch, count):
@@ -1369,14 +1377,17 @@ class TestSecondProcess:
         assert refused == [True]
         assert forks[0] == 0
 
-    def test_ignored_sigchld_runs_inline(self, monkeypatch, capsys, forks):
-        # the system would reap the child itself, and its pid could be
-        # reused before the parent's kill
+    @pytest.mark.parametrize(
+        "disposition", [signal.SIG_IGN, reap_children], ids=["ignored", "reaping-handler"]
+    )
+    def test_ignored_sigchld_runs_inline(self, monkeypatch, capsys, forks, disposition):
+        # the system, or a host's handler, would reap the child itself, and
+        # its pid could be reused before the parent's kill
         cpus(monkeypatch, 1)
         assert run_cli(["verify", "-n", "75"]) == 0
         inline = capsys.readouterr()
         cpus(monkeypatch, 2)
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        previous = signal.signal(signal.SIGCHLD, disposition)
         try:
             assert run_cli(["verify", "-n", "75"]) == 0
         finally:

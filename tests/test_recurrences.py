@@ -16,6 +16,7 @@ from math import factorial
 
 import pytest
 
+from btseq import recurrences
 from btseq.recurrences import (
     OpCounters,
     akiyama_tanigawa_bernoulli,
@@ -82,35 +83,61 @@ def secant_poly_table(rows: int) -> list[list[int]]:
     return table
 
 
-def observed_passes(engine, n):
-    """Run engine(n) and return (its result, [(k, row), ...]) for its passes.
+def watch_sweep(engine, n, watch):
+    """Return engine(n), calling watch(event, names) on each trace event of
+    the shared sweep's frame, with names its local variables.
 
-    The engine runs under sys.settrace, which acts only on the engine's own
-    frame and keeps a copy of the local row each time the local k changes
-    and once on return: the row as each outer pass k left it. The engine
-    needs no hook, so the passes read are those of the code that ships.
+    sys.settrace acts only on that frame, so the engines need no hook and
+    what is read is the code that ships.
     """
-    passes = []
-    last_k = None
 
     def on_event(frame, event, arg):
-        nonlocal last_k
-        k = frame.f_locals.get("k")
-        if last_k is not None and (k != last_k or event == "return"):
-            passes.append((last_k, list(frame.f_locals["row"])))
-        last_k = k
+        watch(event, frame.f_locals)
         return on_event
 
     def on_call(frame, event, arg):
-        return on_event if frame.f_code is engine.__code__ else None
+        return on_event if frame.f_code is recurrences._sweep.__code__ else None
 
     saved = sys.gettrace()
     sys.settrace(on_call)
     try:
-        result = engine(n)
+        return engine(n)
     finally:
         sys.settrace(saved)
-    return result, passes
+
+
+def observed_passes(engine, n):
+    """Run engine(n) and return (its result, [(k, row), ...]) for its passes.
+
+    A copy of the sweep's row is kept each time its local k changes and
+    once on return: the row as each outer pass k left it.
+    """
+    passes = []
+    last_k = None
+
+    def watch(event, names):
+        nonlocal last_k
+        k = names.get("k")
+        if last_k is not None and (k != last_k or event == "return"):
+            passes.append((last_k, list(names["row"])))
+        last_k = k
+
+    return watch_sweep(engine, n, watch), passes
+
+
+def observed_trips(engine, n):
+    """Run engine(n) and return (its counters, inner trips, passes) as the
+    sweep's line events show them: the distinct (k, j) with j > k, and the
+    distinct k."""
+    seen = set()
+
+    def watch(event, names):
+        if event == "line" and "k" in names:
+            seen.add((names["k"], names.get("j", 0)))
+
+    _, ops = watch_sweep(engine, n, watch)
+    inner = sum(j > k for k, j in seen)
+    return ops, inner, len({k for k, _ in seen})
 
 
 class TestTangentNumbers:
@@ -218,6 +245,19 @@ class TestSecantNumbers:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             secant_numbers(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+@pytest.mark.parametrize(
+    "engine,c", [(tangent_numbers, 2), (secant_numbers, 1)], ids=["tangent", "secant"]
+)
+def test_counters_match_the_observed_trips(engine, c, n):
+    # every inner trip is one multiply and one add; the tangent's n - 1
+    # passes each add one doubling on the diagonal, the secant's none
+    ops, inner, passes = observed_trips(engine, n)
+    assert passes == (n - 1 if c == 2 else n)
+    assert ops.multiplications == inner
+    assert ops.additions == ops.loop_trips == inner + (c - 1) * passes
 
 
 class TestBernoulliFromTangent:
