@@ -336,40 +336,37 @@ def _rounding_budget(n: int) -> CheckResult:
     return _first_miss("packed-quotient rounding budget", misses, proof)
 
 
-def stability_contrast(precision: int = 53) -> tuple[CheckResult, ...]:
+def stability_contrast(precision: int) -> tuple[CheckResult, ...]:
     """Contrast the unstable and stable fixed-precision Bernoulli routes.
 
     Thresholds are calibrated for 53-bit arithmetic and scale by powers of
     two at other precisions. The breakdown check uses the 4**m error model,
     which predicts relative error above 1 at index 60 only for precisions
-    up to 56 bits; beyond that it is omitted.
+    up to 56 bits; beyond that it is omitted. The routes own the precision
+    floor: each refuses one under MIN_PRECISION, and the unstable one runs
+    first, so that refusal comes before any other work.
     """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
-    scale = Fraction(2) ** (53 - precision)
-    exact = ENGINES["bernoulli", "recurrence"].produce(80)[0]  # B_0..B_80
     unstable = bernoulli_float_unstable(60, precision)
-    low_worst = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))
-    error = f"worst relative error {float(low_worst):.3e}"  # PASS and FAIL alike
-    miss = None if low_worst < Fraction(1, 10**8) * scale else error
+    exact = ENGINES["bernoulli", "recurrence"].produce(80)[0]  # B_0..B_80
+    scale = Fraction(2) ** (53 - precision)
+
+    def line(name: str, what: str, error: Fraction, holds: bool) -> CheckResult:
+        witness = f"{what} {float(error):.3e}"  # PASS and FAIL alike
+        return _first_miss(name, [None if holds else witness], witness)
+
+    low = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))
     name = "unstable recurrence accurate through index 20"
-    checks = [_first_miss(name, [miss], error)]
+    checks = [line(name, "worst relative error", low, low < scale / 10**8)]
     if precision <= 56:
-        err_60 = abs(unstable[60] / exact[60] - 1)
-        error = f"relative error {float(err_60):.3e}"
-        miss = None if err_60 > 1 else error
+        at_60 = abs(unstable[60] / exact[60] - 1)
         name = "unstable recurrence breaks down by index 60"
-        checks.append(_first_miss(name, [miss], error))
-    stable = scaled_bernoulli_stable(40, precision)
-    worst = Fraction(0)
-    factorial = 1  # (2k)!
-    for k in range(41):
-        if k:
-            factorial *= (2 * k - 1) * (2 * k)
-        worst = max(worst, abs(stable[k] * factorial / exact[2 * k] - 1))
-    error = f"worst relative error {float(worst):.3e}"
-    miss = None if worst < Fraction(1, 10**12) * scale else error
-    checks.append(_first_miss("scaled recurrence accurate through C_40", [miss], error))
+        checks.append(line(name, "relative error", at_60, at_60 > 1))
+    stable = scaled_bernoulli_stable(40, precision)  # C_k = B_2k / (2k)!
+    worst = max(
+        abs(c * math.factorial(2 * k) / exact[2 * k] - 1) for k, c in enumerate(stable)
+    )
+    name = "scaled recurrence accurate through C_40"
+    checks.append(line(name, "worst relative error", worst, worst < scale / 10**12))
     return tuple(checks)
 
 

@@ -212,7 +212,7 @@ def _emit_bench(args) -> tuple[int, list[str]]:
 
 def _open_output(path: str | None):
     """The output stream, opened before any work runs, as a shell's > does."""
-    if not path:
+    if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w")

@@ -59,15 +59,20 @@ step_command() {
 }
 
 step_rejects-bad-arguments() {
-  for args in "tangent -n 0" "bench -n 1" "verify -n 3 --precision 23" "secant -n x" \
-      "tangent -n 3 --output /nonexistent-dir/out.txt"; do
+  refuse() {
     code=0
-    btseq $args > /dev/null || code=$?
+    btseq "$@" > /dev/null || code=$?
     if [ "$code" -ne 1 ]; then
-      echo "btseq $args exited $code, expected 1"
+      echo "btseq $* exited $code, expected 1"
       exit 1
     fi
+  }
+  for args in "tangent -n 0" "bench -n 1" "verify -n 3 --precision 23" "secant -n x" \
+      "tangent -n 3 --output /nonexistent-dir/out.txt"; do
+    refuse $args
   done
+  # an empty path names no file, so it must not fall back to stdout
+  refuse tangent -n 3 --output ''
 }
 
 step_verify-129() {
@@ -112,6 +117,8 @@ step_verify-small() {
   expect 9/9 -n 224
   expect 9/9 -n 225
   expect 12/12 -n 60 --precision 24
+  expect 12/12 -n 60 --precision 56
+  expect 11/11 -n 60 --precision 57
   expect 11/11 -n 60 --precision 100
   expect 12/12 -n 64 --precision 53
   expect 12/12 -n 129 --precision 53

@@ -1,10 +1,12 @@
-"""Acceptance gate: ten criteria, one test and one printed verdict each."""
+"""Acceptance gate: ten criteria, one test and one printed verdict each.
+Each verdict must equal its line in data/acceptance.txt byte for byte."""
 
 from __future__ import annotations
 
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from btseq.checks import _zeta_enclosures, cross_check, pi_bounds, von_staudt_clausen
 from btseq.fastfixed import (
@@ -24,6 +26,9 @@ from btseq.recurrences import (
 from btseq.series import bernoulli_via_series
 
 from conftest import ACCEPTANCE_LINES
+
+# the ten verdict lines, byte for byte, in criterion order
+GOLDEN = (Path(__file__).parent / "data" / "acceptance.txt").read_text().splitlines()
 
 BERNOULLI_0_14 = [
     Fraction(1),
@@ -49,6 +54,7 @@ def record(number: int, description: str, ok: bool) -> None:
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
+    assert line == GOLDEN[number - 1]
 
 
 def test_criterion_01_pinned_low_bernoulli_row():

@@ -945,9 +945,52 @@ class TestStabilityContrast:
         assert len(results) == 2
         assert all(c.passed for c in results)
 
-    def test_rejects_thin_precision(self):
-        with pytest.raises(ValueError):
-            stability_contrast(16)
+    @pytest.mark.parametrize(
+        "precision,witnesses",
+        [
+            (24, ("6.359e-02", "6.991e+10", "5.261e-07")),
+            (56, ("1.428e-11", "1.570e+01", "1.763e-16")),
+            (57, ("8.558e-12", None, "2.581e-17")),
+            (100, ("8.148e-25", None, "1.189e-29")),
+        ],
+    )
+    def test_whole_result_at_other_precisions(self, precision, witnesses):
+        # only the 53-bit bytes are pinned by the verify goldens
+        low, at_60, scaled = witnesses
+        expected = [
+            checks.CheckResult(
+                "unstable recurrence accurate through index 20",
+                True,
+                f"worst relative error {low}",
+            ),
+            checks.CheckResult(
+                "unstable recurrence breaks down by index 60",
+                True,
+                f"relative error {at_60}",
+            ),
+            checks.CheckResult(
+                "scaled recurrence accurate through C_40",
+                True,
+                f"worst relative error {scaled}",
+            ),
+        ]
+        if at_60 is None:  # past the 56-bit cutoff
+            del expected[1]
+        assert stability_contrast(precision) == tuple(expected)
+
+    def test_rejects_thin_precision(self, monkeypatch):
+        calls = Counter()
+        original = engines.tangent_numbers
+
+        def counted(*args):
+            calls["tangent_numbers"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engines, "tangent_numbers", counted)
+        for precision in (16, 23):
+            with pytest.raises(ValueError, match="precision must be at least 24 bits"):
+                stability_contrast(precision)
+        assert calls["tangent_numbers"] == 0  # refused before the exact row
 
     def test_doubled_unstable_values_fail_the_low_accuracy_check(self, monkeypatch):
         original = checks.bernoulli_float_unstable

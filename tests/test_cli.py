@@ -118,6 +118,14 @@ class TestSequenceCommands:
         assert err.startswith("usage error: cannot write --output")
         assert calls == []
 
+    def test_empty_output_path_is_a_usage_error(self, capsys):
+        # an empty path names no file, as a shell's > "" does; it must not
+        # fall back to stdout
+        code, out, err = run(capsys, "tangent", "-n", "3", "--output", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: cannot write --output")
+
     def test_engine_disagreement_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(btseq.engines, "fast_tangent_numbers", lambda n: [1] * n)
         code, out, _ = run(capsys, "tangent", "-n", "6", "--algorithm", "all")
