@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+import os
+import sys
 import time
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,6 +36,27 @@ def _peak_bits(values) -> int:
 
 
 REPEATS = 3  # runs per record; the best wall time is kept
+
+SCHEMA = 1  # version of the bench --format json payload
+
+
+def environment() -> dict:
+    """The interpreter and machine that a bench run's times belong to."""
+    import platform  # only a JSON report pays for this import
+
+    native = decimal.Decimal is getattr(sys.modules.get("_decimal"), "Decimal", None)
+    affinity = getattr(os, "sched_getaffinity", None)
+    fields = type(sys.int_info).__match_args__
+    return {
+        "python": sys.version,
+        "int_info": {field: getattr(sys.int_info, field) for field in fields},
+        "platform": platform.platform(),
+        "sched_getaffinity": len(affinity(0)) if affinity else None,
+        "decimal": {
+            "backend": "_decimal" if native else "_pydecimal",
+            "libmpdec": decimal.__libmpdec_version__ if native else None,
+        },
+    }
 
 # Each engine is timed on the first sequence it produces in the table, out
 # to the reach of n tangent numbers (B_0..B_2n for a Bernoulli engine), so

@@ -336,6 +336,24 @@ def _rounding_budget(n: int) -> CheckResult:
     return _first_miss("packed-quotient rounding budget", misses, proof)
 
 
+def _scientific(q: Fraction) -> str:
+    """q >= 0 to four significant digits, rounded half to even from the exact
+    value, worded as f"{float(q):.3e}" words a normal double; a double would
+    lose q's digits below 2**-1022 and read 0 below 2**-1075."""
+    if not q:
+        return "0.000e+00"
+    # 10**exp <= q < 10**(exp + 1), from a first guess by bit lengths
+    exp = (q.numerator.bit_length() - q.denominator.bit_length()) * 30103 // 100000
+    while q < Fraction(10) ** exp:
+        exp -= 1
+    while q >= Fraction(10) ** (exp + 1):
+        exp += 1
+    digits = round(q / Fraction(10) ** (exp - 3))
+    if digits == 10000:  # rounded up into the next decade
+        exp, digits = exp + 1, 1000
+    return f"{digits // 1000}.{digits % 1000:03d}e{exp:+03d}"
+
+
 def stability_contrast(precision: int) -> tuple[CheckResult, ...]:
     """Contrast the unstable and stable fixed-precision Bernoulli routes.
 
@@ -351,7 +369,7 @@ def stability_contrast(precision: int) -> tuple[CheckResult, ...]:
     scale = Fraction(2) ** (53 - precision)
 
     def line(name: str, what: str, error: Fraction, holds: bool) -> CheckResult:
-        witness = f"{what} {float(error):.3e}"  # PASS and FAIL alike
+        witness = f"{what} {_scientific(error)}"  # PASS and FAIL alike
         return _first_miss(name, [None if holds else witness], witness)
 
     low = max(abs(unstable[m] / exact[m] - 1) for m in range(2, 21, 2))

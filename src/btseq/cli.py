@@ -14,7 +14,7 @@ import sys
 import traceback
 from typing import Iterable, Iterator
 
-from .bench import ALGORITHMS, bench_suite, crossover_summary
+from .bench import ALGORITHMS, SCHEMA, bench_suite, crossover_summary, environment
 from .checks import full_verification
 from .engines import ENGINES, engine_names
 from .intops import IntegrityError
@@ -180,6 +180,8 @@ def _emit_bench(args) -> tuple[int, list[str]]:
     if args.format == "json":
         payload = {
             "kind": "bench",
+            "schema": SCHEMA,
+            "environment": environment(),
             "records": [
                 {
                     "algorithm": r.algorithm,

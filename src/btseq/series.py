@@ -1,19 +1,14 @@
-"""Truncated power series reciprocal over exact integers.
+"""The even Bernoulli numbers from one truncated power series reciprocal.
 
-A truncated series is a plain sequence of ints, entry j multiplying z**j,
-and its length is its order. The reciprocal is scaled: series_reciprocal
-returns scale * (1/a) modulo z**order, which must have integer
-coefficients, and every returned reciprocal (a tuple) is re-verified
-against the defining convolution identity before it leaves this module.
-
-Both steps are Kronecker substitutions: each series is packed as one
-decimal number with a coefficient per fixed-width slot, and libmpdec does
-the arithmetic exactly (number-theoretic transforms for large operands).
-The reciprocal is one Newton-iterated quotient whose slots hold every
-coefficient, read off its digit string once; the check is one product
-whose low slots must come out as scale followed by zeros.
-
-Inverting sinh(x)/x in w = x**2 yields the even Bernoulli numbers.
+Inverting sinh(x)/x in w = x**2 yields them. A truncated series is a plain
+sequence of ints, entry j multiplying z**j, and its length is its order.
+The reciprocal is scaled to integer coefficients, and packed as a
+Kronecker substitution: one decimal number with a coefficient per
+fixed-width slot, on which libmpdec does the arithmetic exactly
+(number-theoretic transforms for large operands). It is one
+Newton-iterated quotient whose slots hold every coefficient, read off its
+digit string once. Its certificate is a written bound plus the exact
+distance of the quotient returned, taken on the division's own operands.
 """
 
 from __future__ import annotations
@@ -91,28 +86,10 @@ def _pack(coeffs: Sequence[int], width: int) -> Decimal:
     return _EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
 
 
-def check_reciprocal(a: Sequence[int], b: Sequence[int], scale: int) -> None:
-    """Verify sum_j a_j b_{m-j} = scale * [m == 0] for every m below len(b).
-
-    Below len(b), every coefficient of a * b - scale is at most
-    bound = sum|a_j| max|b| + |scale| < 10**width in magnitude, so the
-    packed difference is a multiple of 10**(len(b) width) only if all of
-    them are 0, and one product decides. The slots stay digits(a_0) wider
-    than the division's: for a wrong b_0, a_0 b_0 - scale reaches a_0 max|b|.
-    """
-    if not b:
-        raise ValueError("reciprocal must have at least one coefficient")
-    a = a[: len(b)] or (0,)
-    bound = sum(map(abs, a)) * max(map(abs, b)) + abs(scale)
-    # 10**width >= 2**bits > bound, as log10(2) < 0.30103
-    width = bound.bit_length() * 30103 // 100000 + 1
-    rest = _EXACT.fma(_pack(a, width), _pack(b, width), -scale)
-    if rest and not str(rest).endswith("0" * (len(b) * width)):
-        raise IntegrityError("series reciprocal violates its convolution identity")
-
-
-def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ...]:
-    """Return e = scale * (1/a) modulo z**order, by one rounded quotient.
+def _reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ...]:
+    """Return e = scale * (1/a) modulo z**order, by one rounded quotient, for
+    a scale at which every e_j is an integer: the caller must prove that, as
+    bernoulli_via_series does by von Staudt-Clausen.
 
     Take K = order, alpha = |a_0|, sigma = sum_{0<k<K} |a_k| and
     M = max(1, |scale|/alpha) max(1, sigma/alpha)**(K-1), which bounds every
@@ -125,9 +102,12 @@ def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ..
     quotient within sigma M / (R alpha - alpha - sigma) < 1/7 of E, and the
     Newton estimate of _nearest_quotient within 1/4 + 1/7 < 1/2 of E.
 
-    R/2 added to every slot makes each one positive, read off the digits
-    once. A scale that leaves e fractional still puts V within 1 of E, and
-    the other integers read then fail the final check (IntegrityError).
+    With num = |scale| R**(2K-2) and den = |A|, the exact distance
+    d = |num - |V| den| audits the V returned: 7 d < den puts |V| within 1/7
+    of num/den, so within 2/7 < 1 of the integer |E|, and any other V raises
+    IntegrityError. A scale that leaves e fractional leaves E no integer, so
+    the audit proves nothing and the integers read may be wrong. R/2 added
+    to every slot makes each one positive, read off the digits once.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -145,14 +125,15 @@ def series_reciprocal(a: Sequence[int], order: int, scale: int) -> tuple[int, ..
     den = _pack([*a, *[0] * (order - len(a))][::-1], width).copy_abs()
     num = _EXACT.scaleb(Decimal(abs(scale)), (2 * order - 2) * width)
     magnitude = _nearest_quotient(num, den)  # |V|, then V + R/2 in every slot
+    distance = _EXACT.fma(magnitude, den.copy_negate(), num).copy_abs()
+    if _EXACT.multiply(7, distance) >= den:
+        raise IntegrityError("series quotient is not the packed reciprocal")
     bias = Decimal(("5" + "0" * (width - 1)) * order)
     sign = 1 if (scale < 0) == (a[0] < 0) else -1
     digits = str(_EXACT.fma(sign, magnitude, bias)).zfill(order * width)
     half = 5 * 10 ** (width - 1)
     slots = range(0, order * width, width)
-    e = [int(Decimal(digits[i : i + width])) - half for i in slots]
-    check_reciprocal(a, e, scale)
-    return tuple(e)
+    return tuple(int(Decimal(digits[i : i + width])) - half for i in slots)
 
 
 def bernoulli_via_series(n: int) -> BernoulliSeq:
@@ -175,7 +156,7 @@ def bernoulli_via_series(n: int) -> BernoulliSeq:
     den = math.factorial(2 * terms - 2) * math.lcm(*range(1, 2 * terms))
     out: BernoulliSeq = [Fraction(0)] * (n + 1)
     factorial = 1
-    for k, e in enumerate(series_reciprocal(a, terms, a[0] * den)):
+    for k, e in enumerate(_reciprocal(a, terms, a[0] * den)):
         if k:
             factorial *= (2 * k - 1) * (2 * k)
         out[2 * k] = Fraction(e * factorial, den * (2 - 4**k))

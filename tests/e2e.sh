@@ -208,6 +208,18 @@ EOF
 step_bench-json() {
   btseq bench -n 5 40 --format json --output "$RUNNER_TEMP/bench.json"
   python -c 'import json, sys; records = json.load(open(sys.argv[1]))["records"]; sys.exit(len(records) != 10)' "$RUNNER_TEMP/bench.json"
+  python - "$RUNNER_TEMP/bench.json" <<'EOF'
+import json
+import sys
+
+payload = json.load(open(sys.argv[1]))
+environment = payload.get("environment", {})
+keys = {"python", "int_info", "platform", "sched_getaffinity", "decimal"}
+if payload.get("schema") != 1 or set(environment) != keys:
+    sys.exit(f"bench JSON: schema {payload.get('schema')!r}, environment {environment!r}")
+if set(environment["decimal"]) != {"backend", "libmpdec"}:
+    sys.exit(f"bench JSON: decimal {environment['decimal']!r}")
+EOF
 }
 
 step_engines-agree-300() {
@@ -229,8 +241,12 @@ step_bernoulli-matches-akiyama() {
 }
 
 step_series-matches-tangent-route() {
-  btseq bernoulli -n 1600 > "$RUNNER_TEMP/bernoulli-1600.txt"
-  btseq bernoulli -n 1600 --algorithm series | diff "$RUNNER_TEMP/bernoulli-1600.txt" -
+  # the least sizes, the top of cross_engine's Bernoulli window (m 235-335),
+  # and a size past every benchmark workload
+  for n in 1 2 3 335 1600; do
+    btseq bernoulli -n $n > "$RUNNER_TEMP/bernoulli-$n.txt"
+    btseq bernoulli -n $n --algorithm series | diff "$RUNNER_TEMP/bernoulli-$n.txt" -
+  done
 }
 
 step_perfbench() {

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import decimal
 import json
+import os
+import platform
+import sys
 from fractions import Fraction
 
 import pytest
@@ -155,6 +159,40 @@ class TestBenchCommand:
         assert by_name["recurrence"]["loop_trips"] == 15
         assert by_name["fast"]["loop_trips"] is None
         assert "summary" in payload
+
+    def test_json_schema_and_environment(self, capsys):
+        code = run_cli(["bench", "-n", "3", "--algorithm", "series", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert list(payload) == ["kind", "schema", "environment", "records"]
+        assert payload["schema"] == bench.SCHEMA == 1
+        env = payload["environment"]
+        assert env["python"] == sys.version
+        assert env["int_info"]["bits_per_digit"] == sys.int_info.bits_per_digit
+        assert env["int_info"]["sizeof_digit"] == sys.int_info.sizeof_digit
+        assert env["platform"] == platform.platform()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        assert env["sched_getaffinity"] == cpus
+        assert env["decimal"] == {
+            "backend": "_decimal",
+            "libmpdec": decimal.__libmpdec_version__,
+        }
+        # the records keep their fields
+        (record,) = payload["records"]
+        assert list(record) == [
+            "algorithm",
+            "n",
+            "wall_time",
+            "additions",
+            "multiplications",
+            "loop_trips",
+            "peak_value_bits",
+        ]
+
+    def test_environment_names_a_pure_python_decimal(self, monkeypatch):
+        # decimal falls back to _pydecimal where _decimal cannot be imported
+        monkeypatch.delitem(sys.modules, "_decimal")
+        assert bench.environment()["decimal"] == {"backend": "_pydecimal", "libmpdec": None}
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "bench.txt"

@@ -10,14 +10,17 @@ import json
 import math
 import os
 import pickle
+import re
 import signal
+import sys
 import threading
 from collections import Counter
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import btseq.checks as checks
@@ -977,6 +980,50 @@ class TestStabilityContrast:
         if at_60 is None:  # past the 56-bit cutoff
             del expected[1]
         assert stability_contrast(precision) == tuple(expected)
+
+    @pytest.mark.parametrize("precision", [1100, 5000])
+    def test_witnesses_stay_nonzero_past_the_double_range(self, precision):
+        # from 1025 bits the scaled error is a subnormal double, and from
+        # 1079 bits a double reads it as 0; the witness must still measure
+        # it, below its line's threshold (rounded to four digits)
+        low, scaled = stability_contrast(precision)
+        scale = Fraction(2) ** (53 - precision)
+        for check, threshold in ((low, scale / 10**8), (scaled, scale / 10**12)):
+            assert check.passed
+            error = Fraction(check.witness.rsplit(" ", 1)[1])
+            assert 0 < error < threshold * (1 + Fraction(1, 1000))
+
+    def test_witness_bytes_are_the_doubles_wherever_those_are_normal(self, monkeypatch):
+        # the 53-bit goldens and ACCEPTANCE 07 pin these bytes at 53 bits
+        worded = []
+        original = checks._scientific
+
+        def spy(error):
+            worded.append((error, original(error)))
+            return worded[-1][1]
+
+        monkeypatch.setattr(checks, "_scientific", spy)
+        for precision in range(24, 1001):
+            results = stability_contrast(precision)
+            assert [c.witness.rsplit(" ", 1)[1] for c in results] == [
+                text for _, text in worded[-len(results) :]
+            ]
+        assert len(worded) == 3 * 33 + 2 * (1001 - 57)
+        for error, text in worded:
+            assert not error or float(error) >= sys.float_info.min
+            assert text == f"{float(error):.3e}"
+
+    @given(st.integers(1, 10**60), st.integers(1, 10**60), st.integers(-400, 400))
+    @example(num=99996, den=10**4, shift=0)  # rounds up into the next decade
+    @example(num=99995, den=10**4, shift=-330)  # a tie, to even: 1.000e-329
+    def test_scientific_wording_rounds_the_exact_value(self, num, den, shift):
+        q = Fraction(num, den) * Fraction(10) ** shift
+        expected = Context(prec=4, rounding=ROUND_HALF_EVEN).divide(
+            Decimal(q.numerator), Decimal(q.denominator)
+        )
+        text = checks._scientific(q)
+        assert re.fullmatch(r"[1-9]\.[0-9]{3}e[+-][0-9]{2,}", text)
+        assert Fraction(text) == Fraction(expected)
 
     def test_rejects_thin_precision(self, monkeypatch):
         calls = Counter()

@@ -17,10 +17,11 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import btseq.series as series_module
@@ -30,7 +31,7 @@ from btseq.recurrences import (
     bernoulli_from_tangent,
     tangent_numbers,
 )
-from btseq.series import bernoulli_via_series, check_reciprocal, series_reciprocal
+from btseq.series import bernoulli_via_series
 
 # Exact decimal arithmetic for the oracles: any rounding raises.
 EXACT = Context(
@@ -80,6 +81,59 @@ def unit_reciprocal(a, order: int, scale: int) -> list[int]:
     return b
 
 
+def pack(coeffs, width: int) -> Decimal:
+    """The signed decimal sum of coeffs[j] * 10**(width * j)."""
+    zero = "0" * width
+    pos, neg = [], []
+    for c in reversed(coeffs):
+        digits = str(Decimal(abs(c))).zfill(width)
+        pos.append(digits if c > 0 else zero)
+        neg.append(digits if c < 0 else zero)
+    return EXACT.subtract(Decimal("".join(pos)), Decimal("".join(neg)))
+
+
+def check_reciprocal(a, b, scale: int) -> None:
+    """Oracle: verify sum_j a_j b_{m-j} = scale * [m == 0] for every m below
+    len(b), or raise IntegrityError.
+
+    Below len(b), every coefficient of a * b - scale is at most
+    bound = sum|a_j| max|b| + |scale| < 10**width in magnitude, so the
+    packed difference is a multiple of 10**(len(b) width) only if all of
+    them are 0, and one product decides. The slots stay digits(a_0) wider
+    than the division's: for a wrong b_0, a_0 b_0 - scale reaches a_0 max|b|.
+    """
+    if not b:
+        raise ValueError("reciprocal must have at least one coefficient")
+    a = a[: len(b)] or (0,)
+    bound = sum(map(abs, a)) * max(map(abs, b)) + abs(scale)
+    # 10**width >= 2**bits > bound, as log10(2) < 0.30103
+    width = bound.bit_length() * 30103 // 100000 + 1
+    rest = EXACT.fma(pack(a, width), pack(b, width), -scale)
+    if rest and not str(rest).endswith("0" * (len(b) * width)):
+        raise IntegrityError("series reciprocal violates its convolution identity")
+
+
+ENGINE_RECIPROCAL = series_module._reciprocal  # as the engine has it
+
+
+@pytest.fixture(autouse=True, scope="module")
+def oracle_checks_every_reciprocal():
+    """Every reciprocal made in this module, directly or by
+    bernoulli_via_series, must pass check_reciprocal before it is used: off
+    the engine's precondition (e integral) no wrong integers pass both its
+    own audit and the identity. Tests call series_module._reciprocal, so
+    that they reach the checked one."""
+
+    def checked(a, order, scale):
+        e = ENGINE_RECIPROCAL(a, order, scale)
+        check_reciprocal(a, e, scale)
+        return e
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_reciprocal", checked)
+        yield
+
+
 def accepts(a, b, scale: int) -> bool:
     """Whether check_reciprocal passes, rather than raising IntegrityError."""
     try:
@@ -108,6 +162,12 @@ def sinh_series(order: int) -> tuple[list[int], int]:
     return a, top * math.factorial(2 * order - 2) * math.lcm(*range(1, 2 * order))
 
 
+@lru_cache(maxsize=None)
+def tangent_route() -> list[Fraction]:
+    """B_0..B_602 by the in-place tangent row, independent of the series."""
+    return bernoulli_from_tangent(tangent_numbers(301)[0])
+
+
 class Level(NamedTuple):
     num: Decimal
     den: Decimal
@@ -124,8 +184,8 @@ class Division(NamedTuple):
 
 @contextmanager
 def recording():
-    """Record every quotient that series_reciprocal rounds, with each
-    _quotient call (one per Newton level) made for it."""
+    """Record every quotient that _reciprocal rounds, with each _quotient
+    call (one per Newton level) made for it."""
     divisions: list[Division] = []
     levels: list[Level] = []
     nearest, quotient = series_module._nearest_quotient, series_module._quotient
@@ -271,58 +331,60 @@ class TestConvolve:
 
 class TestSeriesReciprocal:
     def test_constant_series(self):
-        out = series_reciprocal((2,), 1, 2)
+        out = series_module._reciprocal((2,), 1, 2)
         assert out == (1,)
         assert len(out) == 1
 
     def test_geometric_series(self):
-        out = series_reciprocal((1, -1, 0, 0), 4, 1)
+        out = series_module._reciprocal((1, -1, 0, 0), 4, 1)
         assert out == (1,) * 4
 
     def test_exp_quotient_prefix(self):
         # 6 (exp(z) - 1)/z = 6 + 3z + z**2; its reciprocal times 72 is
         # 72 (1/6) (1 - z/2 + z**2/12)
-        out = series_reciprocal((6, 3, 1), 3, 72)
+        out = series_module._reciprocal((6, 3, 1), 3, 72)
         assert out == (12, -6, 1)
 
     def test_order_may_exceed_input_length(self):
-        out = series_reciprocal((1, -1), 6, 1)
+        out = series_module._reciprocal((1, -1), 6, 1)
         assert out == (1,) * 6
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 16, 33, 64])
     def test_matches_back_substitution(self, order):
         a = (2,) + tuple((-1) ** j * (j + 2) for j in range(1, order))
-        got = series_reciprocal(a, order, a[0] ** order)
+        got = series_module._reciprocal(a, order, a[0] ** order)
         assert list(got) == scaled_oracle(a, order)
 
     @given(series(), st.integers(1, 16))
     def test_random_series_match_back_substitution(self, a, order):
-        got = series_reciprocal(a, order, a[0] ** order)
+        got = series_module._reciprocal(a, order, a[0] ** order)
         assert list(got) == scaled_oracle(a, order)
 
     @pytest.mark.parametrize("order", [2, 5, 16])
     def test_wrong_scale_raises(self, order):
+        # 3**(order-1) leaves e fractional, off _reciprocal's precondition:
+        # whatever integers it reads there, none passes the identity
         a = (3, 1, 4, 1, 5)
         with pytest.raises(IntegrityError):
-            series_reciprocal(a, order, 3 ** (order - 1))
+            series_module._reciprocal(a, order, 3 ** (order - 1))
 
     def test_geometrically_growing_reciprocal(self):
         # 1/(1 - 10**40 z) = sum 10**(40j) z**j, so sigma/alpha sets the radix
-        out = series_reciprocal((1, -(10**40)), 40, 1)
+        out = series_module._reciprocal((1, -(10**40)), 40, 1)
         assert out == tuple(10 ** (40 * j) for j in range(40))
 
     def test_negative_constant_term_and_scale(self):
         a = (-3, 1, 4, -1, 5)
         scale = -(3**7)
         expected = [scale * q for q in back_substitution_reciprocal(a, 7)]
-        assert list(series_reciprocal(a, 7, scale)) == expected
-        assert series_reciprocal((-2,), 1, -6) == (3,)
+        assert list(series_module._reciprocal(a, 7, scale)) == expected
+        assert series_module._reciprocal((-2,), 1, -6) == (3,)
 
     @given(unit, st.lists(signed, max_size=10), st.integers(1, 14), signed)
     def test_large_signed_coefficients(self, head, tail, order, scale):
         a = (head, *tail)
         scale = scale or 1
-        assert list(series_reciprocal(a, order, scale)) == unit_reciprocal(
+        assert list(series_module._reciprocal(a, order, scale)) == unit_reciprocal(
             a, order, scale
         )
 
@@ -331,30 +393,32 @@ class TestSeriesReciprocal:
         [
             ((3,), 1, 1),
             ((-7, 2), 3, 5),
-            # slots sized by |scale|/alpha < 1 alone would overflow here
+            # the audit passes the integers read here: (0, 0, -1, -1) and
+            # (0, 0, 0, 0), for e_0 = scale/a_0 is no integer
             ((-4 * 10**15, 4 * 10**15, 90), 4, 4 * 10**9),
             ((4 * 10**13, -4 * 10**11, -2000, 0, 800), 4, -40000),
         ],
     )
     def test_scale_below_the_constant_term_raises(self, a, order, scale):
+        # |scale| < |a_0| leaves e_0 fractional, off _reciprocal's precondition
         with pytest.raises(IntegrityError):
-            series_reciprocal(a, order, scale)
+            series_module._reciprocal(a, order, scale)
 
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ValueError):
-            series_reciprocal((0, 1), 2, 1)
+            series_module._reciprocal((0, 1), 2, 1)
 
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):
-            series_reciprocal((), 2, 1)
+            series_module._reciprocal((), 2, 1)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
-            series_reciprocal((1,), 0, 1)
+            series_module._reciprocal((1,), 0, 1)
 
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
-            series_reciprocal((1,), 1, 0)
+            series_module._reciprocal((1,), 1, 0)
 
 
 class TestNewtonQuotient:
@@ -392,7 +456,7 @@ class TestNewtonQuotient:
         a = (head, -big if negate else big, *tail)
         scale = scale or 1
         with recording() as divisions:
-            got = series_reciprocal(a, order, scale)
+            got = series_module._reciprocal(a, order, scale)
         assert list(got) == unit_reciprocal(a, order, scale)
         (division,) = divisions
         # the packed divisor is past the seed, so Newton doubles at least once
@@ -414,12 +478,22 @@ class TestNewtonQuotient:
             assert value == expected
         assert EXACT.subtract(value, expected).copy_abs() <= 1
 
-    def test_fractional_scale_raises_past_the_seed(self):
-        # one more than the true scale leaves e_0 = scale/a_0 fractional
+    def test_fractional_scale_raises_past_the_seed(self, monkeypatch):
+        # one more than the true scale leaves e_0 = scale/a_0 fractional,
+        # off _reciprocal's precondition: past the seed, no wrong integers
+        # pass the audit and the identity
         a, scale = sinh_series(76)
-        with recording() as divisions, pytest.raises(IntegrityError):
-            series_reciprocal(a, 76, scale + 1)
-        assert len(divisions[0].levels) >= 6
+        levels = []
+        quotient = series_module._quotient
+
+        def counted(num, den, prec):
+            levels.append(prec)
+            return quotient(num, den, prec)
+
+        monkeypatch.setattr(series_module, "_quotient", counted)
+        with pytest.raises(IntegrityError):
+            series_module._reciprocal(a, 76, scale + 1)
+        assert len(levels) >= 6
 
     def test_ignores_the_thread_context(self):
         tangent, _ = tangent_numbers(301)
@@ -446,7 +520,7 @@ class TestCheckReciprocal:
     @given(series(min_order=2), st.data())
     def test_any_corrupted_coefficient_fails(self, a, data):
         order = len(a)
-        b = list(series_reciprocal(a, order, a[0] ** order))
+        b = list(series_module._reciprocal(a, order, a[0] ** order))
         j = data.draw(st.integers(0, order - 1))
         b[j] += data.draw(st.integers(1, 10**30) | st.integers(-(10**30), -1))
         with pytest.raises(IntegrityError):
@@ -489,10 +563,17 @@ class TestBernoulliViaSeries:
     def test_matches_triangle_route(self):
         assert bernoulli_via_series(25) == akiyama_tanigawa_bernoulli(25)
 
-    @pytest.mark.parametrize("n", [3, 4, 17, 600])
+    # every m to 200, then verify_sweep's top (2 * 129), the top of
+    # cross_engine's window (335), and past both
+    @pytest.mark.parametrize("n", [*range(201), 258, 335, 400, 600])
     def test_matches_tangent_route(self, n):
-        tangent, _ = tangent_numbers(n // 2 + 1)
-        assert bernoulli_via_series(n) == bernoulli_from_tangent(tangent)[: n + 1]
+        with recording() as divisions:
+            got = bernoulli_via_series(n)
+        assert got == tangent_route()[: n + 1]
+        # the audit's bound holds on the one division: 7 |num - V den| < den
+        ((num, den, value, _),) = divisions
+        distance = EXACT.fma(value, den, num.copy_negate()).copy_abs()
+        assert EXACT.multiply(distance, 7) < den
 
     def test_odd_entries_zero(self):
         values = bernoulli_via_series(21)
@@ -501,3 +582,58 @@ class TestBernoulliViaSeries:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bernoulli_via_series(-1)
+
+
+class TestDistanceAudit:
+    """bernoulli_via_series's one quotient V, audited by its exact distance
+    from num/den at the division's own width: 7 |num - V den| < den."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 300), st.sampled_from([1, -1]), st.data())
+    def test_one_slot_off_raises(self, m, sign, data):
+        # V +- R**j changes one slot of the packed reciprocal by one
+        terms = m // 2 + 1
+        j = data.draw(st.integers(0, terms - 1))
+        nearest = series_module._nearest_quotient
+
+        def shifted(num, den):
+            # num = |scale| R**(2K-2), so its exponent is (2K-2) width
+            width = num.as_tuple().exponent // max(2 * terms - 2, 1)
+            return EXACT.fma(sign, EXACT.scaleb(1, width * j), nearest(num, den))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_module, "_nearest_quotient", shifted)
+            with pytest.raises(IntegrityError, match="not the packed reciprocal"):
+                bernoulli_via_series(m)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 150, 258, 400])
+    def test_the_scale_leaves_every_coefficient_integral(self, m, monkeypatch):
+        # _reciprocal's precondition, for the one scale it is given: back
+        # substitution of scale/a divides exactly at every index
+        calls = []
+        reciprocal = series_module._reciprocal
+
+        def spy(a, order, scale):
+            calls.append((tuple(a), order, scale))
+            return reciprocal(a, order, scale)
+
+        monkeypatch.setattr(series_module, "_reciprocal", spy)
+        bernoulli_via_series(m)
+        ((a, order, scale),) = calls
+        assert (list(a), scale) == sinh_series(order)
+        e = []
+        for k in range(order):
+            rest = scale * (k == 0) - sum(a[j] * e[k - j] for j in range(1, k + 1))
+            quotient, remainder = divmod(rest, a[0])
+            assert remainder == 0
+            e.append(quotient)
+
+    def test_only_bernoulli_via_series_is_public(self):
+        # no public caller can hand the reciprocal a scale of its own
+        public = [
+            name
+            for name, value in vars(series_module).items()
+            if not name.startswith("_")
+            and getattr(value, "__module__", None) == series_module.__name__
+        ]
+        assert public == ["bernoulli_via_series"]
